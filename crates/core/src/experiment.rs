@@ -77,7 +77,8 @@ pub fn run_experiment_observed(
         cfg.label()
     );
     assert!(world.complete(), "simulation drained without finishing");
-    let metrics = collect_metrics(&world, outcome.end_time);
+    world.obs_sample_drained(outcome.end_time);
+    let metrics = collect_metrics(&mut world, outcome.end_time);
     let data = world.take_obs().expect("observation was enabled");
     (metrics, data)
 }
@@ -123,13 +124,24 @@ fn run_shared_world(
     );
     assert!(world.complete(), "simulation drained without finishing");
 
-    let metrics = collect_metrics(&world, outcome.end_time);
+    let metrics = collect_metrics(&mut world, outcome.end_time);
     let trace = world.take_trace();
     (metrics, trace, perf)
 }
 
-/// Assemble the run's [`RunMetrics`] from a completed world.
-fn collect_metrics(world: &World, end_time: rt_sim::SimTime) -> RunMetrics {
+/// Assemble the run's [`RunMetrics`] from a completed world. The sample
+/// reservoirs are moved out (every caller drops the world next) and each
+/// is sorted once, so quantile queries on the metrics copy nothing.
+fn collect_metrics(world: &mut World, end_time: rt_sim::SimTime) -> RunMetrics {
+    let sorted = |s: &mut rt_sim::Sampled| {
+        let mut s = std::mem::take(s);
+        s.sort();
+        s
+    };
+    let read_times = sorted(&mut world.rec.read_times);
+    let disk_response_times = sorted(&mut world.rec.disk_responses);
+    let hit_wait = sorted(&mut world.rec.hit_wait);
+    let hedged_read_times = sorted(&mut world.rec.hedged_read_times);
     let cfg = world.cfg();
     let pool_stats = world.pool().stats().clone();
     let disks = world.disks();
@@ -145,13 +157,13 @@ fn collect_metrics(world: &World, end_time: rt_sim::SimTime) -> RunMetrics {
         total_time,
         proc_finish: finish.clone(),
         reads: world.rec.reads.clone(),
-        read_times: world.rec.read_times.clone(),
-        disk_response_times: world.rec.disk_responses.clone(),
+        read_times,
+        disk_response_times,
         hit_ratio: pool_stats.hit_ratio.value(),
         ready_hits: pool_stats.ready_hits,
         unready_hits: pool_stats.unready_hits,
         misses: pool_stats.misses,
-        hit_wait: world.rec.hit_wait.clone(),
+        hit_wait,
         disk_response: disks.response(),
         disk_ops: disks.total_ops(),
         disk_utilization: disks.mean_utilization(end_time),
@@ -174,15 +186,12 @@ fn collect_metrics(world: &World, end_time: rt_sim::SimTime) -> RunMetrics {
                 finish: finish[p],
             })
             .collect(),
-        tl_prefetched: world.rec.tl_prefetched.clone(),
-        tl_barrier: world.rec.tl_barrier.clone(),
-        tl_outstanding_io: world.rec.tl_outstanding_io.clone(),
         faults: world.fault_metrics(end_time),
         overload: world.overload_metrics(),
         integrity: world.integrity_metrics(end_time),
         crash: world.crash_metrics(),
         tail: world.tail_metrics(),
-        hedged_read_times: world.rec.hedged_read_times.clone(),
+        hedged_read_times,
     }
 }
 
@@ -269,7 +278,7 @@ impl RunHandle {
             self.world.complete(),
             "simulation drained without finishing"
         );
-        collect_metrics(&self.world, out.end_time)
+        collect_metrics(&mut self.world, out.end_time)
     }
 }
 
@@ -449,6 +458,32 @@ mod tests {
         for m in &reps {
             assert_eq!(fingerprint(m), fingerprint(&straight));
         }
+    }
+
+    #[test]
+    fn observed_gauges_stay_in_range_and_drain() {
+        let mut cfg = small(AccessPattern::GlobalWholeFile, SyncStyle::BlocksPerProc(10));
+        cfg.prefetch = PrefetchConfig::paper();
+        let obs = crate::world::ObsConfig {
+            ring_capacity: 16,
+            sample_every: Some(SimDuration::from_millis(1)),
+        };
+        let (m, data) = run_experiment_observed(&cfg, obs);
+        let drained = rt_sim::SimTime::ZERO + m.total_time;
+        let gauge = |name: &str| {
+            let s = data.series.iter().find(|s| s.name == name).unwrap();
+            assert!(s.points.len() > 10, "{name}: too few samples");
+            s
+        };
+        let in_flight = gauge("disk requests in flight");
+        assert!(in_flight.points.iter().all(|p| p.1 >= 0.0));
+        assert!(in_flight.max() > 0.0, "the run did disk I/O");
+        let last = *in_flight.points.last().unwrap();
+        assert!(last.0 >= drained, "the series closes with a drain sample");
+        assert_eq!(last.1, 0.0, "every request completes by drain");
+        let at_barrier = gauge("procs at barrier");
+        assert!(at_barrier.max() > 0.0, "processes met at barriers");
+        assert!(at_barrier.max() <= f64::from(cfg.procs));
     }
 
     #[test]

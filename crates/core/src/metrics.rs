@@ -1,6 +1,6 @@
 //! Run metrics — every measure the paper's §IV-C enumerates.
 
-use rt_sim::{Sampled, SimDuration, SimTime, Tally, Timeline};
+use rt_sim::{Sampled, SimDuration, SimTime, Tally};
 
 /// Per-process measurements — the paper's Fig. 1(b) concern made
 /// quantitative: when prefetching benefits distribute unevenly, fast
@@ -82,12 +82,6 @@ pub struct RunMetrics {
     pub alloc_retries: u64,
     /// Per-process breakdowns (benefit distribution).
     pub per_proc: Vec<ProcMetrics>,
-    /// Prefetched-but-unused blocks held, over time.
-    pub tl_prefetched: Timeline,
-    /// Processes blocked at the barrier, over time.
-    pub tl_barrier: Timeline,
-    /// Disk requests in flight, over time.
-    pub tl_outstanding_io: Timeline,
     /// Fault-injection counters; all zero when the run injected nothing.
     pub faults: FaultMetrics,
     /// Overload/backpressure counters; all zero (except the always-
@@ -469,9 +463,6 @@ mod tests {
             lock_wait: Tally::new(),
             alloc_retries: 0,
             per_proc: Vec::new(),
-            tl_prefetched: Timeline::new(),
-            tl_barrier: Timeline::new(),
-            tl_outstanding_io: Timeline::new(),
             faults: FaultMetrics::default(),
             overload: OverloadMetrics::default(),
             integrity: IntegrityMetrics::default(),

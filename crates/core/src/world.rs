@@ -21,9 +21,7 @@ use rt_cache::{BufState, BufferId, BufferPool, Lookup, PoolConfig};
 use rt_disk::{BlockId, DiskId, FetchKind, ProcId};
 use rt_fs::{FileId, FileSystem, FsError, FsStarted};
 use rt_patterns::{Access, Cursor, Predictor, SyncStyle, Workload};
-use rt_sim::{
-    EventId, Model, Rng, Sampled, Scheduler, SimDuration, SimLock, SimTime, Tally, Timeline,
-};
+use rt_sim::{EventId, Model, Rng, Sampled, Scheduler, SimDuration, SimLock, SimTime, Tally};
 
 use crate::admission::{AdmissionState, Deny, ParkedDemand};
 use crate::barrier::Barrier;
@@ -237,12 +235,6 @@ pub(crate) struct Recorder {
     pub proc_hits: Vec<u64>,
     /// Prefetch I/Os issued per node.
     pub proc_prefetches: Vec<u64>,
-    /// Prefetched-but-unused blocks held, over time.
-    pub tl_prefetched: Timeline,
-    /// Processes blocked at the barrier, over time.
-    pub tl_barrier: Timeline,
-    /// Disk requests in flight (queued or in service), over time.
-    pub tl_outstanding_io: Timeline,
     pub action_time: Tally,
     pub overrun: Tally,
     pub idle_necessary: Tally,
@@ -525,7 +517,8 @@ pub struct World {
     finished: u16,
     predictors: Vec<Option<Box<dyn Predictor>>>,
     trace: Option<Trace>,
-    /// Disk requests submitted but not yet completed.
+    /// Disk requests submitted but not yet completed (the soak
+    /// conservation check, and the "disk requests in flight" gauge).
     outstanding_io: u32,
     /// Fault-layer state; `None` when the run injects nothing, keeping
     /// the hot path identical to a fault-free build.

@@ -147,9 +147,6 @@ impl World {
         // episode for the survivors (and, under a global portion gate,
         // advance the open portion with them).
         let opened = self.barrier.crash(ProcId(p as u16), now);
-        self.rec
-            .tl_barrier
-            .record(now, self.barrier.waiting() as f64);
         if let Some(open) = opened {
             if self.workload.is_global() {
                 if let Workload::Global(s) = &*self.workload {

@@ -145,13 +145,7 @@ impl World {
                                 self.pool.commit_prefetch(buf, block, SimTime::MAX);
                                 self.consume_prefetch_credit();
                                 self.rec.proc_prefetches[p] += 1;
-                                self.rec
-                                    .tl_prefetched
-                                    .record(now, self.pool.prefetched_unused() as f64);
                                 self.outstanding_io += 1;
-                                self.rec
-                                    .tl_outstanding_io
-                                    .record(now, self.outstanding_io as f64);
                                 self.note_started(block, started, sched);
                                 if failover {
                                     self.crash

@@ -212,9 +212,6 @@ impl World {
                     .buffer_for(block)
                     .expect("pending buffer checked above");
                 self.pool.discard_pending(buf);
-                self.rec
-                    .tl_prefetched
-                    .record(now, self.pool.prefetched_unused() as f64);
                 self.rec.aborted_prefetches += 1;
                 self.clear_pending(block, sched);
             }
@@ -252,9 +249,6 @@ impl World {
                 rt_cache::BufState::Pending { .. }
             ) {
                 self.pool.discard_pending(buf);
-                self.rec
-                    .tl_prefetched
-                    .record(now, self.pool.prefetched_unused() as f64);
             }
         }
         self.clear_pending(block, sched);
@@ -290,9 +284,6 @@ impl World {
         {
             Ok(started) => {
                 self.outstanding_io += 1;
-                self.rec
-                    .tl_outstanding_io
-                    .record(now, self.outstanding_io as f64);
                 if self.obs.is_some() {
                     if let Some(d) = self.fs.placement_disk(self.file, block, replica) {
                         self.obs_instant(
@@ -409,9 +400,6 @@ impl World {
                 s.inflight = true;
                 s.last_issued = now;
                 self.outstanding_io += 1;
-                self.rec
-                    .tl_outstanding_io
-                    .record(now, self.outstanding_io as f64);
                 if self.obs.is_some() {
                     if let Some(d) = self.fs.placement_disk(self.file, block, r) {
                         self.obs_instant(
@@ -525,9 +513,6 @@ impl World {
                 {
                     Ok(started) => {
                         self.outstanding_io += 1;
-                        self.rec
-                            .tl_outstanding_io
-                            .record(now, self.outstanding_io as f64);
                         if let Some(s) = started {
                             sched.schedule_at(s.completion, Ev::DiskDone(s.disk));
                         }

@@ -59,7 +59,9 @@ const S_PINNED: usize = 3;
 const S_CREDITS: usize = 4;
 const S_PARKED: usize = 5;
 const S_UNUSED_EVICT: usize = 6;
-const SERIES_BASE: usize = 7;
+const S_IN_FLIGHT: usize = 7;
+const S_AT_BARRIER: usize = 8;
+const SERIES_BASE: usize = 9;
 
 /// Recording state of an observed world.
 #[derive(Clone)]
@@ -129,6 +131,8 @@ impl World {
             Series::new("admission credits"),
             Series::new("parked demands"),
             Series::new("unused evictions"),
+            Series::new("disk requests in flight"),
+            Series::new("procs at barrier"),
         ];
         debug_assert_eq!(series.len(), SERIES_BASE);
         let health = self.faults.is_some();
@@ -182,7 +186,26 @@ impl World {
             at += obs.sample_every;
         }
         obs.next_sample = at + obs.sample_every;
+        self.record_gauges(&mut obs, at);
+        self.obs = Some(obs);
+    }
 
+    /// Record every gauge once more at `end`, the instant the run drained,
+    /// so each series ends at the drained state (replacing a boundary
+    /// sample taken at that same instant). No-op unless gauges are
+    /// being sampled.
+    pub(crate) fn obs_sample_drained(&mut self, end: SimTime) {
+        let Some(mut obs) = self.obs.take() else {
+            return;
+        };
+        if !obs.sample_every.is_zero() {
+            self.record_gauges(&mut obs, end);
+        }
+        self.obs = Some(obs);
+    }
+
+    /// Append the current value of every gauge at `at`.
+    fn record_gauges(&self, obs: &mut ObsState, at: SimTime) {
         let pressure = self.pool.pressure();
         obs.series[S_OCCUPANCY].record(at, pressure.occupancy());
         obs.series[S_PF_PENDING].record(at, pressure.pending as f64);
@@ -195,6 +218,8 @@ impl World {
         obs.series[S_CREDITS].record(at, credits);
         obs.series[S_PARKED].record(at, parked);
         obs.series[S_UNUSED_EVICT].record(at, self.pool.unused_evictions() as f64);
+        obs.series[S_IN_FLIGHT].record(at, self.outstanding_io as f64);
+        obs.series[S_AT_BARRIER].record(at, self.barrier.waiting() as f64);
         let stride = if obs.health { 3 } else { 1 };
         for (i, d) in self.disks().disks().iter().enumerate() {
             let base = SERIES_BASE + i * stride;
@@ -206,7 +231,6 @@ impl World {
                 obs.series[base + 2].record(at, f.health.latency_ewma_ms(id));
             }
         }
-        self.obs = Some(obs);
     }
 
     /// Record an instant (zero-width) event, if observing.

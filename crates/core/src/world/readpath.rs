@@ -75,9 +75,6 @@ impl World {
     ) {
         let now = sched.now();
         self.pool.record_use(buf, ProcId(p as u16), now);
-        self.rec
-            .tl_prefetched
-            .record(now, self.pool.prefetched_unused() as f64);
         self.pool.pin(buf);
         debug_assert!(self.procs[p].copying_buf.is_none());
         self.procs[p].copying_buf = Some(buf);
@@ -219,9 +216,6 @@ impl World {
             {
                 Ok(started) => {
                     self.outstanding_io += 1;
-                    self.rec
-                        .tl_outstanding_io
-                        .record(now, self.outstanding_io as f64);
                     // Timer-guarded fetches remember which copy is in
                     // flight, so a hedge can pick a different one and a
                     // completion can be attributed to its replica.
@@ -333,9 +327,6 @@ impl World {
         // The cancelled request will never complete: release its
         // submission accounting and its buffer.
         self.outstanding_io -= 1;
-        self.rec
-            .tl_outstanding_io
-            .record(now, self.outstanding_io as f64);
         // The cancelled op may be a zombie: a timeout redirect can
         // deliver the block from another replica and the buffer be
         // consumed and evicted while the original op still sits in the
@@ -347,9 +338,6 @@ impl World {
                 rt_cache::BufState::Pending { .. }
             ) {
                 self.pool.discard_pending(buf);
-                self.rec
-                    .tl_prefetched
-                    .record(now, self.pool.prefetched_unused() as f64);
             }
         }
         self.rec.prefetches_shed += 1;
@@ -415,9 +403,6 @@ impl World {
                         .parked[disk.index()]
                     .pop_front();
                     self.outstanding_io += 1;
-                    self.rec
-                        .tl_outstanding_io
-                        .record(now, self.outstanding_io as f64);
                     if self.cfg.faults.retry.timeout.is_some()
                         || self.cfg.faults.hedge.delay.is_some()
                     {
@@ -550,9 +535,6 @@ impl World {
         let (done, next) = self.fs.complete(disk, now);
         debug_assert_eq!(done.file, self.file);
         self.outstanding_io -= 1;
-        self.rec
-            .tl_outstanding_io
-            .record(now, self.outstanding_io as f64);
         let response = now.saturating_since(done.submitted);
         self.rec.disk_responses.record(response);
         if self.obs.is_some() {
@@ -786,9 +768,6 @@ impl World {
                     .buffer_for(block)
                     .expect("pinned block evicted before its copy");
                 self.pool.record_use(buf, ProcId(p as u16), now);
-                self.rec
-                    .tl_prefetched
-                    .record(now, self.pool.prefetched_unused() as f64);
                 debug_assert!(self.procs[p].copying_buf.is_none());
                 self.procs[p].copying_buf = Some(buf);
                 let copy = self.copy_cost(p, buf);
@@ -841,9 +820,6 @@ impl World {
             // rather than spend retries on it. A later demand read
             // fetches it through the normal miss path.
             self.pool.discard_pending(buf);
-            self.rec
-                .tl_prefetched
-                .record(now, self.pool.prefetched_unused() as f64);
             self.rec.aborted_prefetches += 1;
             self.clear_pending(block, sched);
             return;
@@ -1105,9 +1081,6 @@ impl World {
         {
             Ok(started) => {
                 self.outstanding_io += 1;
-                self.rec
-                    .tl_outstanding_io
-                    .record(now, self.outstanding_io as f64);
                 // Schedule the duplicate's completion directly: the
                 // pending buffer keeps the primary's ready estimate, and
                 // waiters accrue hedge-wait (not service) until delivery.
@@ -1178,9 +1151,6 @@ impl World {
                     .is_some()
             {
                 self.outstanding_io -= 1;
-                self.rec
-                    .tl_outstanding_io
-                    .record(now, self.outstanding_io as f64);
                 self.rec.hedge_cancels += 1;
                 self.obs_instant(
                     Track::Device(ld.0),

@@ -25,10 +25,14 @@ impl Series {
         }
     }
 
-    /// Append a sample.
+    /// Append a sample; a sample at the same instant as the last one
+    /// replaces it (a gauge has one value per instant).
     #[inline]
     pub fn record(&mut self, at: SimTime, value: f64) {
-        self.points.push((at, value));
+        match self.points.last_mut() {
+            Some(last) if last.0 == at => last.1 = value,
+            _ => self.points.push((at, value)),
+        }
     }
 
     /// Largest sampled value, or 0.0 for an empty series.
@@ -57,5 +61,8 @@ mod tests {
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.max(), 5.0);
         assert_eq!(s.last(), Some(1.0));
+        s.record(SimTime::from_nanos(30), 0.0);
+        assert_eq!(s.points.len(), 3, "same-instant sample replaces");
+        assert_eq!(s.last(), Some(0.0));
     }
 }

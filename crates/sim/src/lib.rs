@@ -42,7 +42,6 @@ pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod timeline;
 
 pub use engine::{
     run, run_observed, run_until, run_with_stats, EngineStats, Model, ObservedEnd, RunOutcome,
@@ -54,4 +53,3 @@ pub use rng::Rng;
 pub use shard::{run_shards, run_shards_reference, ShardCtx, ShardKey, ShardModel, ShardRun};
 pub use stats::{Ratio, Sampled, Tally, TimeWeighted};
 pub use time::{SimDuration, SimTime};
-pub use timeline::Timeline;
