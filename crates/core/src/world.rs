@@ -507,9 +507,9 @@ pub struct World {
     /// Highest globally opened portion (EachPortion + global patterns).
     global_portion_open: u32,
     procs: Vec<Proc>,
-    /// Per-block lists of processes blocked on an in-flight I/O.
+    /// Processes blocked on an in-flight I/O, at most one entry each.
     waiters: WaiterTable,
-    /// Reusable buffer for draining a waiter list ([`World::block_ready`]);
+    /// Reusable buffer for draining a block's waiters ([`World::block_ready`]);
     /// keeps the wake path allocation-free.
     wake_scratch: Vec<ProcId>,
     barrier: Barrier,
@@ -546,7 +546,13 @@ pub struct World {
 pub fn generate_workload(cfg: &ExperimentConfig) -> Workload {
     let root = Rng::seeded(cfg.seed);
     let mut wl_rng = root.split(0x776f726b);
-    Workload::generate(cfg.pattern, &cfg.workload, &mut wl_rng)
+    let workload = Workload::generate(cfg.pattern, &cfg.workload, &mut wl_rng);
+    debug_assert_eq!(
+        rt_patterns::validate(cfg.pattern, &workload),
+        Vec::new(),
+        "generated workload violates its pattern's taxonomy"
+    );
+    workload
 }
 
 impl World {
@@ -569,11 +575,6 @@ impl World {
         if let Some(max) = workload.max_block() {
             assert!(max.0 < file_blocks, "workload exceeds the file");
         }
-        debug_assert_eq!(
-            rt_patterns::validate(cfg.pattern, &workload),
-            Vec::new(),
-            "generated workload violates its pattern's taxonomy"
-        );
 
         let pool_cfg = if cfg.prefetch.enabled {
             PoolConfig {
@@ -651,18 +652,24 @@ impl World {
             })
             .collect();
 
-        let oracle_hint_sound = {
-            let mut seen = vec![false; file_blocks as usize];
-            let mut mark = |s: &rt_patterns::RefString| {
-                s.accesses()
-                    .iter()
-                    .all(|a| !std::mem::replace(&mut seen[a.block.index()], true))
+        // Only the oracle daemon reads the memo, so only it pays for the
+        // duplicate scan (one bit per block).
+        let oracle_hint_sound =
+            cfg.prefetch.enabled && cfg.prefetch.policy == PolicyKind::Oracle && {
+                let mut seen = vec![0u64; (file_blocks as usize).div_ceil(64)];
+                let mut mark = |s: &rt_patterns::RefString| {
+                    s.accesses().iter().all(|a| {
+                        let (word, bit) = (a.block.index() / 64, 1u64 << (a.block.index() % 64));
+                        let fresh = seen[word] & bit == 0;
+                        seen[word] |= bit;
+                        fresh
+                    })
+                };
+                match &*workload {
+                    Workload::Global(s) => mark(s),
+                    Workload::Local(strings) => strings.iter().all(&mut mark),
+                }
             };
-            match &*workload {
-                Workload::Global(s) => mark(s),
-                Workload::Local(strings) => strings.iter().all(&mut mark),
-            }
-        };
 
         let barrier = Barrier::new(cfg.procs);
         World {
@@ -676,8 +683,8 @@ impl World {
             global_cursor: Cursor::new(),
             global_portion_open: 0,
             procs,
-            waiters: WaiterTable::new(file_blocks),
-            wake_scratch: Vec::new(),
+            waiters: WaiterTable::new(cfg.procs),
+            wake_scratch: Vec::with_capacity(cfg.procs as usize),
             barrier,
             total_reads_done: 0,
             finished: 0,
@@ -876,8 +883,10 @@ impl World {
     /// Structural invariants the chaos soak harness checks after every
     /// event: bounded queues never exceed their bound, the in-flight
     /// counter matches the devices' queued + busy totals, the credit pool
-    /// never overflows, and demand reads only park under a queue bound.
-    /// Cheap — O(disks) — so it can run per event.
+    /// never overflows, demand reads only park under a queue bound, and
+    /// every waiter registration names a distinct process blocked on that
+    /// very block (so the registry never holds more than `procs`
+    /// entries). Cheap — O(disks + procs) — so it can run per event.
     pub fn check_soak_invariants(&self) -> Result<(), String> {
         let mut in_flight = 0usize;
         for (i, d) in self.disks().disks().iter().enumerate() {
@@ -908,6 +917,22 @@ impl World {
                 "exactly-once: {} waiter(s) woken by a delivery they were not waiting for",
                 self.rec.duplicate_deliveries
             ));
+        }
+        let mut registered = vec![false; self.procs.len()];
+        for &(block, who) in self.waiters.entries() {
+            let proc = &self.procs[who.index()];
+            if std::mem::replace(&mut registered[who.index()], true) {
+                return Err(format!("waiters: node {} registered twice", who.index()));
+            }
+            if proc.state != PState::WaitBlock || proc.cur_access.map(|a| a.block) != Some(block) {
+                return Err(format!(
+                    "waiters: node {} registered on block {} but is {:?} on {:?}",
+                    who.index(),
+                    block.index(),
+                    proc.state,
+                    proc.cur_access.map(|a| a.block.index())
+                ));
+            }
         }
         if let Some(adm) = &self.admission {
             if adm.credits > adm.cfg.prefetch_credits {
@@ -1947,5 +1972,44 @@ mod tests {
         // Blocks whose primary is healthy are untouched.
         assert_eq!(w.pick_demand_replica(BlockId(1), now), 0);
         assert!(!w.prefetch_target_degraded(BlockId(1), now));
+    }
+
+    #[test]
+    fn soak_check_rejects_a_registration_without_a_waiting_reader() {
+        let mut w = World::new(small_cfg(
+            AccessPattern::GlobalWholeFile,
+            SyncStyle::None,
+            false,
+        ));
+        let mut sched = Scheduler::new();
+        w.bootstrap(&mut sched);
+        // Run, checked after every event, to the first blocked read.
+        let end = rt_sim::run_observed(&mut w, &mut sched, u64::MAX, |w, _| {
+            w.check_soak_invariants()?;
+            match w.waiters.total() {
+                0 => Ok(()),
+                _ => Err("blocked".into()),
+            }
+        });
+        assert!(
+            matches!(end, rt_sim::ObservedEnd::Violation { ref message, .. } if message == "blocked")
+        );
+        let (block, waiting) = w.waiters.entries()[0];
+        w.check_soak_invariants().unwrap();
+
+        // A node that is not blocked on `block` must not be registered.
+        let idle = (0..w.procs.len())
+            .find(|&p| w.procs[p].state != PState::WaitBlock)
+            .expect("only one read is blocked so far");
+        let mut bad = w.clone();
+        bad.waiters.push(block, ProcId(idle as u16));
+        let err = bad.check_soak_invariants().unwrap_err();
+        assert!(err.contains("registered on block"), "{err}");
+
+        // Nor may a waiting node be registered twice.
+        let mut twice = w.clone();
+        twice.waiters.push(block, waiting);
+        let err = twice.check_soak_invariants().unwrap_err();
+        assert!(err.contains("registered twice"), "{err}");
     }
 }

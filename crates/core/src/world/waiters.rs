@@ -1,120 +1,90 @@
-//! Per-block waiter lists, stored densely.
+//! The registry of reads blocked on in-flight I/O.
 //!
-//! Every read that blocks on an in-flight I/O registers here; the disk
-//! completion drains the block's list and wakes everyone. The table is a
-//! flat `Vec` indexed by block number — the file size is fixed at
-//! construction — and each list holds its first few waiters inline, so the
-//! steady-state wait/wake cycle touches no allocator and no hash: almost
-//! every block has at most a handful of concurrent readers, and the rare
-//! pile-up spills to a heap vector that keeps its capacity for the rest of
-//! the run.
+//! Every read that blocks on an in-flight block registers here; the disk
+//! completion drains that block's registrations and wakes each process.
+//! A process has at most one read outstanding, so at most `procs`
+//! registrations exist at once however large the file is. The registry
+//! is therefore one flat list of `(block, process)` pairs in
+//! registration order, not a table indexed by block: lookups scan at
+//! most `procs` entries, a clone copies at most `procs` pairs, and once
+//! the list has reached its high-water mark the wait/wake cycle touches
+//! no allocator. Wake order per block is registration order.
 
 use rt_disk::{BlockId, ProcId};
 
-/// Waiters held inline per block before spilling to the heap.
-const INLINE: usize = 4;
-
-#[derive(Clone)]
-struct WaiterList {
-    inline: [ProcId; INLINE],
-    len: u8,
-    spill: Vec<ProcId>,
-}
-
-impl WaiterList {
-    const EMPTY: WaiterList = WaiterList {
-        inline: [ProcId(0); INLINE],
-        len: 0,
-        spill: Vec::new(),
-    };
-}
-
-/// Dense block-number → waiting-processes table.
+/// Blocked reads as `(block, process)` pairs, in registration order.
 #[derive(Clone)]
 pub(crate) struct WaiterTable {
-    lists: Vec<WaiterList>,
+    entries: Vec<(BlockId, ProcId)>,
 }
 
 impl WaiterTable {
-    /// A table covering blocks `0..file_blocks`, all lists empty.
-    pub fn new(file_blocks: u32) -> Self {
+    /// An empty registry with room for `procs` registrations — one per
+    /// process, the most that can exist at once.
+    pub fn new(procs: u16) -> Self {
         WaiterTable {
-            lists: vec![WaiterList::EMPTY; file_blocks as usize],
+            entries: Vec::with_capacity(procs as usize),
         }
     }
 
     /// Register `proc` as waiting for `block`. Wake order is registration
-    /// order (inline entries first, then the spill — which is exactly
-    /// arrival order).
+    /// order.
     pub fn push(&mut self, block: BlockId, proc: ProcId) {
-        let list = &mut self.lists[block.index()];
-        if (list.len as usize) < INLINE {
-            list.inline[list.len as usize] = proc;
-            list.len += 1;
-        } else {
-            list.spill.push(proc);
-        }
+        self.entries.push((block, proc));
     }
 
     /// Visit every waiter for `block` in registration order without
-    /// draining the list (used for latency-attribution transitions, where
-    /// the wait continues but its component changes).
+    /// draining it (used for latency-attribution transitions, where the
+    /// wait continues but its component changes).
     pub fn for_each(&self, block: BlockId, mut f: impl FnMut(ProcId)) {
-        let list = &self.lists[block.index()];
-        for p in &list.inline[..list.len as usize] {
-            f(*p);
+        for &(b, p) in &self.entries {
+            if b == block {
+                f(p);
+            }
         }
-        for p in &list.spill {
-            f(*p);
-        }
+    }
+
+    /// Every registration in registration order, across all blocks.
+    pub fn entries(&self) -> &[(BlockId, ProcId)] {
+        &self.entries
     }
 
     /// Total registrations across every block. A drained run must report
     /// zero — anything left is a waiter whose wake will never fire.
     pub fn total(&self) -> usize {
-        self.lists
-            .iter()
-            .map(|l| l.len as usize + l.spill.len())
-            .sum()
+        self.entries.len()
     }
 
     /// Is anyone waiting for `block`?
     pub fn has_waiters(&self, block: BlockId) -> bool {
-        let list = &self.lists[block.index()];
-        list.len > 0 || !list.spill.is_empty()
+        self.entries.iter().any(|&(b, _)| b == block)
     }
 
-    /// Remove one registration of `proc` from `block`'s list, preserving
-    /// the registration order of everyone else. Returns whether an entry
-    /// was removed (used when a waiting process crashes — its wake must
-    /// never fire).
+    /// Remove one registration of `proc` from `block`, preserving the
+    /// registration order of everyone else. Returns whether an entry was
+    /// removed (used when a waiting process crashes — its wake must never
+    /// fire).
     pub fn remove(&mut self, block: BlockId, proc: ProcId) -> bool {
-        let list = &mut self.lists[block.index()];
-        let len = list.len as usize;
-        if let Some(pos) = list.inline[..len].iter().position(|&p| p == proc) {
-            list.inline.copy_within(pos + 1..len, pos);
-            if list.spill.is_empty() {
-                list.len -= 1;
-            } else {
-                list.inline[len - 1] = list.spill.remove(0);
+        match self.entries.iter().position(|&e| e == (block, proc)) {
+            Some(pos) => {
+                self.entries.remove(pos);
+                true
             }
-            return true;
+            None => false,
         }
-        if let Some(pos) = list.spill.iter().position(|&p| p == proc) {
-            list.spill.remove(pos);
-            return true;
-        }
-        false
     }
 
     /// Move every waiter for `block` into `out` (appended in registration
-    /// order), leaving the list empty. The spill vector keeps its capacity
-    /// for the block's next pile-up.
+    /// order) and drop its registrations, keeping the other blocks'
+    /// entries in order.
     pub fn drain_into(&mut self, block: BlockId, out: &mut Vec<ProcId>) {
-        let list = &mut self.lists[block.index()];
-        out.extend_from_slice(&list.inline[..list.len as usize]);
-        list.len = 0;
-        out.append(&mut list.spill);
+        // `retain` visits each entry exactly once, in order.
+        self.entries.retain(|&(b, p)| {
+            if b == block {
+                out.push(p);
+            }
+            b != block
+        });
     }
 }
 
@@ -122,69 +92,102 @@ impl WaiterTable {
 mod tests {
     use super::*;
 
+    fn drained(t: &mut WaiterTable, block: u32) -> Vec<ProcId> {
+        let mut out = Vec::new();
+        t.drain_into(BlockId(block), &mut out);
+        out
+    }
+
     #[test]
-    fn drain_preserves_registration_order_across_spill() {
+    fn drain_preserves_registration_order() {
         let mut t = WaiterTable::new(8);
         for p in 0..7u16 {
             t.push(BlockId(3), ProcId(p));
         }
-        let mut out = Vec::new();
-        t.drain_into(BlockId(3), &mut out);
-        assert_eq!(out, (0..7).map(ProcId).collect::<Vec<_>>());
-        out.clear();
-        t.drain_into(BlockId(3), &mut out);
-        assert!(out.is_empty(), "drain leaves the list empty");
+        assert_eq!(drained(&mut t, 3), (0..7).map(ProcId).collect::<Vec<_>>());
+        assert!(
+            drained(&mut t, 3).is_empty(),
+            "drain leaves the block empty"
+        );
+        assert_eq!(t.total(), 0);
     }
 
     #[test]
-    fn lists_are_independent() {
+    fn blocks_are_independent() {
         let mut t = WaiterTable::new(4);
         t.push(BlockId(0), ProcId(9));
         t.push(BlockId(2), ProcId(1));
-        let mut out = Vec::new();
-        t.drain_into(BlockId(2), &mut out);
-        assert_eq!(out, vec![ProcId(1)]);
-        out.clear();
-        t.drain_into(BlockId(0), &mut out);
-        assert_eq!(out, vec![ProcId(9)]);
+        assert_eq!(drained(&mut t, 2), vec![ProcId(1)]);
+        assert_eq!(drained(&mut t, 0), vec![ProcId(9)]);
     }
 
     #[test]
-    fn remove_preserves_order_across_spill() {
-        let mut t = WaiterTable::new(2);
+    fn interleaved_blocks_drain_in_order() {
+        let mut t = WaiterTable::new(12);
+        // Round-robin registrations over blocks 10, 11, 12.
+        for p in 0..12u16 {
+            t.push(BlockId(10 + u32::from(p % 3)), ProcId(p));
+        }
+        assert_eq!(drained(&mut t, 11), [1, 4, 7, 10].map(ProcId).to_vec());
+        // The other blocks keep their own registration order.
+        let mut seen = Vec::new();
+        t.for_each(BlockId(12), |p| seen.push(p));
+        assert_eq!(seen, [2, 5, 8, 11].map(ProcId).to_vec());
+        assert!(!t.has_waiters(BlockId(11)));
+        assert_eq!(t.total(), 8);
+        assert_eq!(drained(&mut t, 10), [0, 3, 6, 9].map(ProcId).to_vec());
+        assert_eq!(drained(&mut t, 12), [2, 5, 8, 11].map(ProcId).to_vec());
+        assert_eq!(t.total(), 0);
+    }
+
+    #[test]
+    fn remove_preserves_order() {
+        let mut t = WaiterTable::new(8);
         for p in 0..7u16 {
             t.push(BlockId(1), ProcId(p));
+            t.push(BlockId(2), ProcId(p));
         }
-        // Remove an inline entry: the first spilled waiter backfills.
         assert!(t.remove(BlockId(1), ProcId(2)));
-        // Remove a spilled entry.
         assert!(t.remove(BlockId(1), ProcId(6)));
-        // A proc that is not registered is a no-op.
+        // A proc that is not registered on that block is a no-op.
         assert!(!t.remove(BlockId(1), ProcId(2)));
-        let mut out = Vec::new();
-        t.drain_into(BlockId(1), &mut out);
-        assert_eq!(out, [0, 1, 3, 4, 5].map(ProcId).to_vec());
+        assert!(!t.remove(BlockId(3), ProcId(0)));
+        assert_eq!(drained(&mut t, 1), [0, 1, 3, 4, 5].map(ProcId).to_vec());
+        assert_eq!(drained(&mut t, 2), (0..7).map(ProcId).collect::<Vec<_>>());
     }
 
     #[test]
-    fn remove_last_inline_entry_empties_list() {
+    fn remove_last_entry_empties_block() {
         let mut t = WaiterTable::new(1);
         t.push(BlockId(0), ProcId(4));
         assert!(t.has_waiters(BlockId(0)));
         assert!(t.remove(BlockId(0), ProcId(4)));
         assert!(!t.has_waiters(BlockId(0)));
+        assert_eq!(t.total(), 0);
     }
 
     #[test]
     fn reuse_after_drain() {
-        let mut t = WaiterTable::new(1);
+        let mut t = WaiterTable::new(6);
         for round in 0..3 {
             for p in 0..6u16 {
                 t.push(BlockId(0), ProcId(p));
             }
-            let mut out = Vec::new();
-            t.drain_into(BlockId(0), &mut out);
-            assert_eq!(out.len(), 6, "round {round}");
+            assert_eq!(drained(&mut t, 0).len(), 6, "round {round}");
         }
+    }
+
+    #[test]
+    fn clone_is_independent() {
+        let mut t = WaiterTable::new(4);
+        t.push(BlockId(5), ProcId(0));
+        t.push(BlockId(6), ProcId(1));
+        let mut c = t.clone();
+        c.push(BlockId(5), ProcId(2));
+        assert_eq!(drained(&mut c, 6), vec![ProcId(1)]);
+        // The original saw neither the push nor the drain.
+        assert_eq!(drained(&mut t, 5), vec![ProcId(0)]);
+        assert_eq!(drained(&mut t, 6), vec![ProcId(1)]);
+        assert_eq!(drained(&mut c, 5), vec![ProcId(0), ProcId(2)]);
     }
 }
