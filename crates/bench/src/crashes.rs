@@ -1,409 +1,94 @@
-//! The `rapid-transit crashes` harness: node-crash fault scenarios run
-//! base-vs-prefetch over every paper pattern, emitted as
-//! `BENCH_crash.json`.
-//!
-//! Each of the six access patterns is run under three crash modes —
-//! an early permanent crash, a mid-run crash that rejoins, and a
-//! cascading three-node loss — and each scenario runs twice (without
-//! and with prefetching). Two things are checked per half:
-//!
-//! 1. **Recovery accounting**: the report records both halves with the
-//!    crash counters (injections, rejoins, lost reads, reclaimed locks
-//!    / pins / waiter slots, orphaned I/Os, failover prefetches), so a
-//!    regression in the reclamation path shows up as a counter shift
-//!    between builds.
-//! 2. **Structural soundness**: every half is re-run under
-//!    [`rt_sim::run_observed`] with [`rt_core::World::check_soak_invariants`]
-//!    evaluated after **every** event plus a livelock watchdog, and
-//!    [`rt_core::World::check_terminal_invariants`] at drain time. The
-//!    validator requires every scenario to terminate with all surviving
-//!    reads complete (`completed + lost == expected`) and zero leaked
-//!    pins, lock leases, or waiter entries.
-//!
-//! Everything is deterministic; a given build either always passes or
-//! always fails. The `--smoke` variant shrinks the machine for CI.
+//! The `rapid-transit crashes` sweep (`BENCH_crash.json`): each paper
+//! pattern under an early permanent node crash, a crash that rejoins, and
+//! a cascading three-node loss.
 
-use rt_core::experiment::run_pair;
 use rt_core::faults::{parse_all_fault_specs, FaultSpecError};
-use rt_core::{ExperimentConfig, PrefetchConfig, RunMetrics, RunPair, World};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-use rt_sim::{run_observed, ObservedEnd, Scheduler};
+use rt_patterns::{AccessPattern, SyncStyle};
 
-use crate::json::{num_obj, sweep_report, Check, Json};
-use crate::FlightDump;
+use crate::sweep::{machine, objects, Rule, Scenario, Shape, Sweep, ACCOUNTING, NO_VIOLATIONS};
+use crate::sweep::{HIT_RATIO, READ_MS, TOTAL_MS, VERDICT};
 
-/// Report format version.
-pub const SCHEMA: u64 = 1;
+/// The crash sweep.
+pub const SWEEP: Sweep = Sweep {
+    name: "crashes",
+    out: "BENCH_crash.json",
+    scenarios,
+    shape: Shape::Pair,
+    fields: &[
+        TOTAL_MS,
+        READ_MS,
+        HIT_RATIO,
+        ("crashes", |m, _| m.crash.crashes as f64),
+        ("rejoins", |m, _| m.crash.rejoins as f64),
+        ("lost_reads", |m, _| m.crash.lost_reads as f64),
+        ("reclaimed_locks", |m, _| m.crash.reclaimed_locks as f64),
+        ("reclaimed_pins", |m, _| m.crash.reclaimed_pins as f64),
+        ("reclaimed_waiters", |m, _| m.crash.reclaimed_waiters as f64),
+        ("orphaned_ios", |m, _| m.crash.orphaned_ios as f64),
+        ("redistributed_prefetches", |m, _| {
+            m.crash.redistributed_prefetches as f64
+        }),
+        VERDICT[0],
+        VERDICT[1],
+        VERDICT[2],
+        VERDICT[3],
+    ],
+    soak: None,
+    rules: &[
+        NO_VIOLATIONS,
+        ACCOUNTING,
+        Rule::Report("crash-counts", |doc, c| {
+            // The windows are chosen so every crash lands, and every
+            // rejoiner comes back, before the run ends.
+            for (ctx, name, run) in objects(doc) {
+                let crashes = if name.ends_with("-cascade") { 3.0 } else { 1.0 };
+                let rejoins = f64::from(u8::from(name.ends_with("-rejoin")));
+                for (field, want) in [("crashes", crashes), ("rejoins", rejoins)] {
+                    if let Some(got) = run.number(field).filter(|&got| got != want) {
+                        c.fail(format!("{ctx}: {field} = {got}, want {want}"));
+                    }
+                }
+            }
+        }),
+    ],
+};
 
-/// Per-run event backstop for the verification pass; a quick-machine
-/// run takes a few thousand events, so hitting this means divergence.
-const RUN_EVENT_BUDGET: u64 = 50_000_000;
-
-/// Watchdog window: this many events without a completed read (or a
-/// crash/rejoin transition) means livelock.
-const STALL_WINDOW: u64 = 400_000;
-
-/// The paper's six access patterns with their report abbreviations.
-pub const PATTERNS: [(&str, AccessPattern); 6] = [
-    ("lfp", AccessPattern::LocalFixedPortions),
-    ("lrp", AccessPattern::LocalRandomPortions),
-    ("lw", AccessPattern::LocalWholeFile),
-    ("gfp", AccessPattern::GlobalFixedPortions),
-    ("grp", AccessPattern::GlobalRandomPortions),
-    ("gw", AccessPattern::GlobalWholeFile),
+/// The crash modes as `--faults` specs: `(name, full, smoke)`.
+const MODES: [(&str, &str, &str); 3] = [
+    ("early", "crash:3@500ms", "crash:1@40ms"),
+    (
+        "rejoin",
+        "crash:3@1s:rejoin@3s",
+        "crash:1@60ms:rejoin@300ms",
+    ),
+    (
+        "cascade",
+        "crash:3@500ms,crash:7@1s,crash:11@1500ms",
+        "crash:1@50ms,crash:2@100ms,crash:3@150ms",
+    ),
 ];
 
-/// The three crash modes swept per pattern, as crash-spec strings
-/// (exactly what `--faults` accepts, so the sweep exercises the
-/// parser too).
-fn modes(quick: bool) -> [(&'static str, String); 3] {
-    if quick {
-        [
-            ("early", "crash:1@40ms".into()),
-            ("rejoin", "crash:1@60ms:rejoin@300ms".into()),
-            ("cascade", "crash:1@50ms,crash:2@100ms,crash:3@150ms".into()),
-        ]
-    } else {
-        [
-            ("early", "crash:3@500ms".into()),
-            ("rejoin", "crash:3@1s:rejoin@3s".into()),
-            ("cascade", "crash:3@500ms,crash:7@1s,crash:11@1500ms".into()),
-        ]
-    }
-}
-
-/// One named crash scenario.
-pub struct CrashScenario {
-    /// Stable scenario name (report key), `<pattern>-<mode>`.
-    pub name: String,
-    /// The full experiment configuration, crash plan included.
-    pub cfg: ExperimentConfig,
-}
-
-/// The fixed scenario grid: six patterns x three crash modes. `quick`
-/// shrinks the machine (4 nodes, 200 blocks) and the crash windows for
-/// smoke tests. A malformed spec is reported as a typed
-/// [`FaultSpecError`] rather than a panic, so the CLI can surface it
-/// through its exit code.
-pub fn scenarios(quick: bool) -> Result<Vec<CrashScenario>, FaultSpecError> {
-    let mut out = Vec::with_capacity(PATTERNS.len() * 3);
-    for (pat_name, pattern) in PATTERNS {
-        for (mode_name, spec) in modes(quick) {
-            let mut cfg = ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
-            if quick {
-                cfg.procs = 4;
-                cfg.disks = 4;
-                cfg.workload = WorkloadParams {
-                    procs: 4,
-                    file_blocks: 200,
-                    total_reads: 200,
-                    ..WorkloadParams::paper()
-                };
-            }
-            let (plan, crashes) = parse_all_fault_specs(&spec)?;
-            debug_assert!(
-                plan.entries().is_empty(),
-                "crash modes carry no device faults"
-            );
-            for c in crashes.entries() {
-                cfg.faults.crashes.push(*c);
-            }
-            out.push(CrashScenario {
-                name: format!("{pat_name}-{mode_name}"),
-                cfg,
-            });
+fn scenarios(smoke: bool) -> Result<Vec<Scenario>, FaultSpecError> {
+    let mut out = Vec::new();
+    for pattern in AccessPattern::ALL {
+        for (mode, full, small) in MODES {
+            let mut cfg = machine(pattern, SyncStyle::BlocksPerProc(10), smoke);
+            cfg.faults.crashes = parse_all_fault_specs(if smoke { small } else { full })?.1;
+            out.push(Scenario::new(format!("{pattern}-{mode}"), cfg));
         }
     }
     Ok(out)
 }
 
-/// Outcome of verifying one scenario half.
-#[derive(Clone, Debug)]
-pub struct CrashVerdict {
-    /// Reads the survivors (and any rejoiner) completed.
-    pub completed: u64,
-    /// Unread tail of permanently dead nodes' reference strings.
-    pub abandoned: u64,
-    /// Reads the workload would have performed crash-free.
-    pub expected: u64,
-    /// First invariant violation, if any (`None` means clean).
-    pub violation: Option<String>,
-    /// Flight-recorder dump of the violating run (`None` when clean).
-    pub flight: Option<FlightDump>,
-}
-
-/// Re-run one half of a scenario with per-event invariants, a livelock
-/// watchdog, and the terminal leak checks. `run_pair` measures; this
-/// pass proves the run was structurally sound while doing so.
-pub fn verify_half(cfg: &ExperimentConfig) -> CrashVerdict {
-    let expected = rt_core::world::generate_workload(cfg).total_reads() as u64;
-    let mut world = World::new(cfg.clone());
-    world.enable_obs(rt_core::ObsConfig::flight_recorder());
-    let mut sched = Scheduler::new();
-    world.bootstrap(&mut sched);
-    // Watchdog state: a crash teardown or rejoin counts as progress —
-    // a cascade can legitimately go a while without completing a read.
-    let mut last_progress_mark = 0u64;
-    let mut last_progress_event = 0u64;
-    let end = run_observed(&mut world, &mut sched, RUN_EVENT_BUDGET, |w, events| {
-        w.check_soak_invariants()?;
-        let c = w.crash_metrics();
-        let mark = w.reads_done() + c.crashes + c.rejoins;
-        if mark > last_progress_mark {
-            last_progress_mark = mark;
-            last_progress_event = events;
-        } else if events - last_progress_event > STALL_WINDOW {
-            return Err(format!(
-                "livelock: {} events since the last completed read",
-                events - last_progress_event
-            ));
-        }
-        Ok(())
-    });
-    let mut verdict = CrashVerdict {
-        completed: world.reads_done(),
-        abandoned: world.abandoned_reads(),
-        expected,
-        violation: None,
-        flight: None,
-    };
-    match end {
-        ObservedEnd::Finished(run) => {
-            if run.budget_exhausted {
-                verdict.violation =
-                    Some(format!("run exceeded the {RUN_EVENT_BUDGET}-event budget"));
-            } else if !world.complete() {
-                verdict.violation = Some("run drained without terminating".into());
-            } else if let Err(e) = world.check_terminal_invariants(sched.now()) {
-                verdict.violation = Some(e);
-            } else {
-                let done = world.reads_done();
-                let lost = world.crash_metrics().lost_reads;
-                let abandoned = world.abandoned_reads();
-                if done + lost + abandoned != expected {
-                    verdict.violation = Some(format!(
-                        "read accounting: {done} completed + {lost} lost + \
-                         {abandoned} abandoned != {expected} expected"
-                    ));
-                }
-            }
-        }
-        ObservedEnd::Violation {
-            message,
-            at,
-            events,
-        } => {
-            verdict.violation = Some(format!("{message} (at {at:?}, event {events})"));
-        }
-    }
-    if verdict.violation.is_some() {
-        verdict.flight = FlightDump::take(&mut world);
-    }
-    verdict
-}
-
-/// One scenario's full result: the measured pair plus both verdicts.
-pub struct CrashResult {
-    /// Scenario name (report key).
-    pub name: String,
-    /// Measured base/prefetch halves.
-    pub pair: RunPair,
-    /// Verification verdict for the no-prefetch half.
-    pub base_verdict: CrashVerdict,
-    /// Verification verdict for the prefetching half.
-    pub prefetch_verdict: CrashVerdict,
-}
-
-impl CrashResult {
-    /// First violation across both halves, if any.
-    pub fn violation(&self) -> Option<(&'static str, &str)> {
-        if let Some(v) = &self.base_verdict.violation {
-            return Some(("base", v));
-        }
-        if let Some(v) = &self.prefetch_verdict.violation {
-            return Some(("prefetch", v));
-        }
-        None
-    }
-
-    /// Flight dump of the first violating half, if any.
-    pub fn flight(&self) -> Option<&FlightDump> {
-        if self.base_verdict.violation.is_some() {
-            return self.base_verdict.flight.as_ref();
-        }
-        self.prefetch_verdict.flight.as_ref()
-    }
-}
-
-/// Run every scenario base-vs-prefetch and verify both halves.
-pub fn run_sweep(quick: bool) -> Result<Vec<CrashResult>, FaultSpecError> {
-    Ok(scenarios(quick)?
-        .into_iter()
-        .map(|s| {
-            let pair = run_pair(&s.cfg);
-            let mut base_cfg = s.cfg.clone();
-            base_cfg.prefetch = PrefetchConfig::disabled();
-            let mut pf_cfg = s.cfg.clone();
-            if !pf_cfg.prefetch.enabled {
-                pf_cfg.prefetch = PrefetchConfig::paper();
-            }
-            CrashResult {
-                name: s.name,
-                pair,
-                base_verdict: verify_half(&base_cfg),
-                prefetch_verdict: verify_half(&pf_cfg),
-            }
-        })
-        .collect())
-}
-
-fn run_json(m: &RunMetrics, v: &CrashVerdict) -> Json {
-    let c = &m.crash;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("crashes", c.crashes as f64),
-        ("rejoins", c.rejoins as f64),
-        ("lost_reads", c.lost_reads as f64),
-        ("reclaimed_locks", c.reclaimed_locks as f64),
-        ("reclaimed_pins", c.reclaimed_pins as f64),
-        ("reclaimed_waiters", c.reclaimed_waiters as f64),
-        ("orphaned_ios", c.orphaned_ios as f64),
-        (
-            "redistributed_prefetches",
-            c.redistributed_prefetches as f64,
-        ),
-        ("completed_reads", v.completed as f64),
-        ("abandoned_reads", v.abandoned as f64),
-        ("expected_reads", v.expected as f64),
-        ("violations", u64::from(v.violation.is_some()) as f64),
-    ])
-}
-
-/// Build the report document from a sweep's results. The report is
-/// regenerated wholesale on each run (scenarios are deterministic, so
-/// entries only change when the code does).
-pub fn report(results: &[CrashResult], quick: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        quick,
-        results
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(r.name.clone())),
-                    ("base".into(), run_json(&r.pair.base, &r.base_verdict)),
-                    (
-                        "prefetch".into(),
-                        run_json(&r.pair.prefetch, &r.prefetch_verdict),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 15] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "crashes",
-    "rejoins",
-    "lost_reads",
-    "reclaimed_locks",
-    "reclaimed_pins",
-    "reclaimed_waiters",
-    "orphaned_ios",
-    "redistributed_prefetches",
-    "completed_reads",
-    "abandoned_reads",
-    "expected_reads",
-    "violations",
-];
-
-/// Check that `doc` is a structurally valid crashes report: correct
-/// schema, the full pattern x mode grid present, every run object
-/// carrying all counters, zero verification violations, every crash
-/// injected, and the surviving reads accounted for
-/// (`completed + lost == expected`). Every failure is reported,
-/// newline-joined, not just the first.
-pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let scenarios = c.array(doc, "scenarios");
-    let mut seen: Vec<String> = Vec::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        seen.push(name.to_string());
-        let expect_crashes = if name.ends_with("-cascade") { 3.0 } else { 1.0 };
-        let expect_rejoins = if name.ends_with("-rejoin") { 1.0 } else { 0.0 };
-        for half in ["base", "prefetch"] {
-            let Some(run) = s.get(half) else {
-                c.fail(format!("scenario {name}: missing {half} run"));
-                continue;
-            };
-            let ctx = format!("scenario {name}/{half}");
-            c.nums(run, &RUN_FIELDS, &ctx);
-            let num = |field: &str| run.get(field).and_then(Json::as_f64);
-            if c.num(run, "violations", &ctx).is_some_and(|v| v != 0.0) {
-                c.fail(format!("{ctx}: verification reported violations"));
-            }
-            // A crash scenario must actually crash: rejoin scenarios
-            // may see fewer if the node finished first, but the smoke
-            // and full windows are chosen so it never does.
-            if num("crashes").is_some_and(|v| v != expect_crashes) {
-                c.fail(format!(
-                    "{ctx}: expected {expect_crashes} crash(es), report says {:?}",
-                    num("crashes")
-                ));
-            }
-            if num("rejoins").is_some_and(|v| v != expect_rejoins) {
-                c.fail(format!(
-                    "{ctx}: expected {expect_rejoins} rejoin(s), report says {:?}",
-                    num("rejoins")
-                ));
-            }
-            if let (Some(completed), Some(lost), Some(abandoned), Some(expected)) = (
-                num("completed_reads"),
-                num("lost_reads"),
-                num("abandoned_reads"),
-                num("expected_reads"),
-            ) {
-                if completed + lost + abandoned != expected {
-                    c.fail(format!(
-                        "{ctx}: {completed} completed + {lost} lost + {abandoned} \
-                         abandoned != {expected} expected"
-                    ));
-                }
-                if expected <= 0.0 {
-                    c.fail(format!("{ctx}: empty workload"));
-                }
-            }
-        }
-    }
-    for (pat, _) in PATTERNS {
-        for mode in ["early", "rejoin", "cascade"] {
-            let want = format!("{pat}-{mode}");
-            if !seen.contains(&want) {
-                c.fail(format!("missing scenario {want}"));
-            }
-        }
-    }
-    c.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn scenario_set_shape() {
-        for quick in [false, true] {
-            let set = scenarios(quick).unwrap();
+        for smoke in [false, true] {
+            let set = scenarios(smoke).unwrap();
             assert_eq!(set.len(), 18, "6 patterns x 3 modes");
             for s in &set {
                 s.cfg.validate().unwrap();
@@ -418,76 +103,25 @@ mod tests {
     }
 
     #[test]
-    fn verify_half_passes_on_a_clean_crash_run() {
-        let cfg = &scenarios(true).unwrap()[0].cfg;
-        let v = verify_half(cfg);
-        assert!(v.violation.is_none(), "{:?}", v.violation);
-        assert!(v.completed > 0);
-        assert!(v.completed < v.expected, "a crash-early run loses reads");
-    }
-
-    #[test]
-    fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        // Reparse what we would write to disk.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
-        for r in &results {
-            assert!(r.violation().is_none(), "{}: {:?}", r.name, r.violation());
-        }
-        // The scenarios actually exercise the recovery machinery: at
-        // least one victim somewhere held something reclaimable, and a
-        // rejoin run rejoined.
-        let reclaimed: u64 = results
+    fn smoke_sweep_exercises_recovery() {
+        let rows = SWEEP.run(true).unwrap();
+        let early = &rows[0].runs[0].verdict;
+        assert!(
+            early.completed > 0 && early.completed < early.expected,
+            "a crash loses reads"
+        );
+        let crash = |r: &crate::sweep::Row, i: usize| r.metrics(i).crash.clone();
+        // At least one victim somewhere held something reclaimable, and
+        // every rejoin run rejoined.
+        let reclaimed: u64 = rows
             .iter()
-            .flat_map(|r| [&r.pair.base.crash, &r.pair.prefetch.crash])
+            .flat_map(|r| [crash(r, 0), crash(r, 1)])
             .map(|c| c.reclaimed_locks + c.reclaimed_pins + c.reclaimed_waiters + c.orphaned_ios)
             .sum();
         assert!(reclaimed > 0, "no scenario reclaimed anything");
-        let rejoined = results
-            .iter()
-            .filter(|r| r.name.ends_with("-rejoin"))
-            .all(|r| r.pair.base.crash.rejoins == 1 && r.pair.prefetch.crash.rejoins == 1);
-        assert!(rejoined, "a rejoin scenario never rejoined");
-    }
-
-    #[test]
-    fn validation_rejects_broken_reports() {
-        assert!(validate_report(&Json::parse("{}").unwrap()).is_err());
-        let doc = Json::parse(r#"{"schema":1,"smoke":true,"scenarios":[]}"#).unwrap();
-        let msg = validate_report(&doc).unwrap_err();
-        assert!(msg.contains("missing scenario"), "{msg}");
-        // A half that reports a violation must fail validation.
-        let doc = Json::parse(
-            r#"{"schema":1,"smoke":true,"scenarios":[{"name":"gw-early",
-                "base":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":199,
-                  "abandoned_reads":0,"expected_reads":200,"violations":1},
-                "prefetch":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":199,
-                  "abandoned_reads":0,"expected_reads":200,"violations":0}}]}"#,
-        )
-        .unwrap();
-        let msg = validate_report(&doc).unwrap_err();
-        assert!(msg.contains("violations"), "{msg}");
-        // Broken read accounting must fail validation.
-        let doc = Json::parse(
-            r#"{"schema":1,"smoke":true,"scenarios":[{"name":"gw-early",
-                "base":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":150,
-                  "abandoned_reads":0,"expected_reads":200,"violations":0},
-                "prefetch":{"total_ms":1,"read_ms":1,"hit_ratio":0,"crashes":1,"rejoins":0,
-                  "lost_reads":1,"reclaimed_locks":0,"reclaimed_pins":0,"reclaimed_waiters":0,
-                  "orphaned_ios":0,"redistributed_prefetches":0,"completed_reads":199,
-                  "abandoned_reads":0,"expected_reads":200,"violations":0}}]}"#,
-        )
-        .unwrap();
-        let msg = validate_report(&doc).unwrap_err();
-        assert!(msg.contains("lost"), "{msg}");
+        let doc = SWEEP.report(&rows, true);
+        SWEEP
+            .validate(&Json::parse(&doc.pretty()).unwrap())
+            .unwrap();
     }
 }

@@ -1,226 +1,87 @@
-//! The `rapid-transit faults` harness: a fixed set of fault-injection
-//! scenarios run base-vs-prefetch, emitted as `BENCH_faults.json`.
-//!
-//! Each scenario injects one failure mode into the paper's `lfp`
-//! configuration — a straggling device, a flaky device, a repairing
-//! outage, and a permanent outage absorbed by a replica — plus the
-//! fault-free control. The report records both halves of each pair along
-//! with the fault-path counters, so a regression in retry/degradation
-//! behaviour shows up as a counter or completion-time shift between
-//! builds. The `--smoke` variant shrinks the machine for CI.
+//! The `rapid-transit faults` sweep (`BENCH_faults.json`): one device
+//! failure mode per scenario injected into the paper's `lfp`
+//! configuration, plus the fault-free control `none`.
 
-use rt_core::experiment::run_pair;
 use rt_core::faults::{parse_fault_specs, FaultSpecError};
-use rt_core::{ExperimentConfig, RunMetrics, RunPair};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
+use rt_patterns::{AccessPattern, SyncStyle};
 use rt_sim::SimDuration;
 
-use crate::json::{num_obj, sweep_report, Check, Json};
+use crate::sweep::{machine, zero, Rule, Scenario, Shape, Sweep, HIT_RATIO, READ_MS, TOTAL_MS};
 
-/// Report format version.
-pub const SCHEMA: u64 = 1;
-
-/// One named fault scenario over the base `lfp` configuration.
-pub struct FaultScenario {
-    /// Stable scenario name (report key).
-    pub name: &'static str,
-    /// The full experiment configuration, faults included.
-    pub cfg: ExperimentConfig,
+fn control(name: &str) -> bool {
+    name == "none"
 }
 
-/// The fixed scenario set. `quick` shrinks the machine (4 nodes, 200
-/// blocks) and the fault windows for smoke tests. A malformed spec is
-/// reported as a typed [`FaultSpecError`] rather than a panic, so the
-/// CLI can surface it through its exit code.
-pub fn scenarios(quick: bool) -> Result<Vec<FaultScenario>, FaultSpecError> {
-    let base =
-        |specs: &str, replicas: u16, timeout_ms: u64| -> Result<ExperimentConfig, FaultSpecError> {
-            let mut cfg = ExperimentConfig::paper_default(
-                AccessPattern::LocalFixedPortions,
-                SyncStyle::BlocksPerProc(10),
-            );
-            if quick {
-                cfg.procs = 4;
-                cfg.disks = 4;
-                cfg.workload = WorkloadParams {
-                    procs: 4,
-                    file_blocks: 200,
-                    total_reads: 200,
-                    ..WorkloadParams::paper()
-                };
-            }
-            cfg.faults.plan = parse_fault_specs(specs)?;
-            cfg.faults.replicas = replicas;
-            if timeout_ms > 0 {
-                cfg.faults.retry.timeout = Some(SimDuration::from_millis(timeout_ms));
-            }
-            Ok(cfg)
-        };
-    // Disk indices and windows scale with the machine: the smoke machine
-    // has 4 disks and finishes in roughly a second of simulated time.
-    Ok(if quick {
-        vec![
-            FaultScenario {
-                name: "none",
-                cfg: base("", 0, 0)?,
-            },
-            FaultScenario {
-                name: "straggler-x4",
-                cfg: base("straggler:2:x4", 0, 0)?,
-            },
-            FaultScenario {
-                name: "flaky-p30",
-                cfg: base("flaky:1:p0.3", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-repair",
-                cfg: base("fail:3@100ms-400ms", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-replica",
-                cfg: base("fail:3@100ms", 1, 500)?,
-            },
-            FaultScenario {
-                name: "straggler-timeout",
-                cfg: base("straggler:2:x25", 1, 500)?,
-            },
-        ]
-    } else {
-        vec![
-            FaultScenario {
-                name: "none",
-                cfg: base("", 0, 0)?,
-            },
-            FaultScenario {
-                name: "straggler-x4",
-                cfg: base("straggler:7:x4", 0, 0)?,
-            },
-            FaultScenario {
-                name: "flaky-p30",
-                cfg: base("flaky:3:p0.3", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-repair",
-                cfg: base("fail:5@1s-4s", 0, 0)?,
-            },
-            FaultScenario {
-                name: "outage-replica",
-                cfg: base("fail:5@1s", 1, 500)?,
-            },
-            FaultScenario {
-                name: "straggler-timeout",
-                cfg: base("straggler:7:x25", 1, 500)?,
-            },
-        ]
-    })
-}
+/// The fault sweep.
+pub const SWEEP: Sweep = Sweep {
+    name: "faults",
+    out: "BENCH_faults.json",
+    scenarios,
+    shape: Shape::Pair,
+    fields: &[
+        TOTAL_MS,
+        READ_MS,
+        HIT_RATIO,
+        ("io_errors", |m, _| m.faults.io_errors as f64),
+        ("retries", |m, _| m.faults.retries as f64),
+        ("retries_exhausted", |m, _| {
+            m.faults.retries_exhausted as f64
+        }),
+        ("timeouts", |m, _| m.faults.timeouts as f64),
+        ("redirects", |m, _| m.faults.redirects as f64),
+        ("aborted_prefetches", |m, _| {
+            m.faults.aborted_prefetches as f64
+        }),
+        ("degraded_skips", |m, _| m.faults.degraded_skips as f64),
+        ("degraded_intervals", |m, _| {
+            m.faults.degraded_intervals as f64
+        }),
+        ("degraded_time_ms", |m, _| {
+            m.faults.degraded_time.as_millis_f64()
+        }),
+    ],
+    soak: None,
+    rules: &[Rule::Field("control-clean", control, "io_errors", zero)],
+};
 
-/// Run every scenario base-vs-prefetch.
-pub fn run_sweep(quick: bool) -> Result<Vec<(&'static str, RunPair)>, FaultSpecError> {
-    Ok(scenarios(quick)?
-        .into_iter()
-        .map(|s| (s.name, run_pair(&s.cfg)))
-        .collect())
-}
-
-fn run_json(m: &RunMetrics) -> Json {
-    let f = &m.faults;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("io_errors", f.io_errors as f64),
-        ("retries", f.retries as f64),
-        ("retries_exhausted", f.retries_exhausted as f64),
-        ("timeouts", f.timeouts as f64),
-        ("redirects", f.redirects as f64),
-        ("aborted_prefetches", f.aborted_prefetches as f64),
-        ("degraded_skips", f.degraded_skips as f64),
-        ("degraded_intervals", f.degraded_intervals as f64),
-        ("degraded_time_ms", f.degraded_time.as_millis_f64()),
-    ])
-}
-
-/// Build the report document from a sweep's results. The report is
-/// regenerated wholesale on each run (scenarios are deterministic, so
-/// entries only change when the code does).
-pub fn report(results: &[(&'static str, RunPair)], quick: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        quick,
-        results
-            .iter()
-            .map(|(name, pair)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str((*name).to_string())),
-                    ("base".into(), run_json(&pair.base)),
-                    ("prefetch".into(), run_json(&pair.prefetch)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 12] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "io_errors",
-    "retries",
-    "retries_exhausted",
-    "timeouts",
-    "redirects",
-    "aborted_prefetches",
-    "degraded_skips",
-    "degraded_intervals",
-    "degraded_time_ms",
+/// `(name, full spec, smoke spec, replicas, timeout ms)`; the smoke specs
+/// fit its 4 disks and roughly a second of simulated time.
+const SCENARIOS: [(&str, &str, &str, u16, u64); 6] = [
+    ("none", "", "", 0, 0),
+    ("straggler-x4", "straggler:7:x4", "straggler:2:x4", 0, 0),
+    ("flaky-p30", "flaky:3:p0.3", "flaky:1:p0.3", 0, 0),
+    ("outage-repair", "fail:5@1s-4s", "fail:3@100ms-400ms", 0, 0),
+    ("outage-replica", "fail:5@1s", "fail:3@100ms", 1, 500),
+    (
+        "straggler-timeout",
+        "straggler:7:x25",
+        "straggler:2:x25",
+        1,
+        500,
+    ),
 ];
 
-/// Check that `doc` is a structurally valid faults report: correct
-/// schema, a non-empty scenario array including the fault-free control,
-/// and every run object carrying all counters. Every failure is
-/// reported, newline-joined, not just the first.
-pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let scenarios = c.array(doc, "scenarios");
-    let mut saw_control = scenarios.is_empty();
-    for (i, s) in scenarios.iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        saw_control |= name == "none";
-        for half in ["base", "prefetch"] {
-            let Some(run) = s.get(half) else {
-                c.fail(format!("scenario {name}: missing {half} run"));
-                continue;
-            };
-            c.nums(run, &RUN_FIELDS, &format!("scenario {name}/{half}"));
-            if name == "none" {
-                let errs = run.get("io_errors").and_then(Json::as_f64).unwrap_or(0.0);
-                if errs != 0.0 {
-                    c.fail(format!(
-                        "control scenario reports {errs} io_errors in its {half} run"
-                    ));
-                }
-            }
-        }
-    }
-    if !saw_control {
-        c.fail("missing the fault-free control scenario `none`");
-    }
-    c.finish()
+fn scenarios(smoke: bool) -> Result<Vec<Scenario>, FaultSpecError> {
+    let sync = SyncStyle::BlocksPerProc(10);
+    let scenario = |(name, full, small, replicas, timeout_ms): (&str, &str, &str, u16, u64)| {
+        let mut cfg = machine(AccessPattern::LocalFixedPortions, sync, smoke);
+        cfg.faults.plan = parse_fault_specs(if smoke { small } else { full })?;
+        cfg.faults.replicas = replicas;
+        cfg.faults.retry.timeout = (timeout_ms > 0).then(|| SimDuration::from_millis(timeout_ms));
+        Ok(Scenario::new(name, cfg))
+    };
+    SCENARIOS.into_iter().map(scenario).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn scenario_set_shape() {
-        for quick in [false, true] {
-            let set = scenarios(quick).unwrap();
+        for smoke in [false, true] {
+            let set = scenarios(smoke).unwrap();
             assert_eq!(set.len(), 6);
             assert_eq!(set[0].name, "none");
             assert!(!set[0].cfg.faults.is_active());
@@ -231,36 +92,25 @@ mod tests {
     }
 
     #[test]
-    fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        // Reparse what we would write to disk.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
-        // Injected scenarios actually exercised the fault path.
-        let straggler = &results[1];
+    fn smoke_sweep_exercises_the_fault_path() {
+        let rows = SWEEP.run(true).unwrap();
+        let straggler = &rows[1].metrics(1).faults;
         assert!(
-            straggler.1.prefetch.faults.degraded_intervals > 0
-                || straggler.1.prefetch.faults.degraded_skips > 0,
+            straggler.degraded_intervals > 0 || straggler.degraded_skips > 0,
             "straggler scenario never degraded the device"
         );
-        let flaky = &results[2];
-        assert!(flaky.1.base.faults.io_errors > 0);
-        assert!(flaky.1.base.faults.retries > 0);
+        let flaky = &rows[2].metrics(0).faults;
+        assert!(
+            flaky.io_errors > 0 && flaky.retries > 0,
+            "flaky never failed"
+        );
         // The extreme straggler outlasts the 500 ms timeout, forcing
         // timeout-driven redirects to the replica.
-        let timeouty = &results[5];
-        assert!(timeouty.1.base.faults.timeouts > 0);
-        assert!(timeouty.1.base.faults.redirects > 0);
-    }
-
-    #[test]
-    fn validation_rejects_broken_reports() {
-        assert!(validate_report(&Json::parse("{}").unwrap()).is_err());
-        let doc = Json::parse(r#"{"schema":1,"smoke":true,"scenarios":[]}"#).unwrap();
-        assert!(validate_report(&doc).unwrap_err().contains("empty"));
-        let doc = Json::parse(r#"{"schema":1,"scenarios":[{"name":"straggler-x4"}]}"#).unwrap();
-        assert!(validate_report(&doc).is_err());
+        let timeouty = &rows[5].metrics(0).faults;
+        assert!(timeouty.timeouts > 0 && timeouty.redirects > 0);
+        let doc = SWEEP.report(&rows, true);
+        SWEEP
+            .validate(&Json::parse(&doc.pretty()).unwrap())
+            .unwrap();
     }
 }

@@ -1,75 +1,89 @@
-//! The `rapid-transit integrity` harness: the end-to-end data-integrity
-//! sweep, emitted as `BENCH_integrity.json`.
-//!
-//! Each of the paper's six access patterns runs three ways — without
-//! corruption (the control), with silent-corruption windows and the
-//! scrubber off, and with the same windows plus the idle-time scrubber —
-//! all with one rotated replica so read-repair has a healthy copy to
-//! fetch. Two things are checked per scenario:
-//!
-//! 1. **The integrity guarantee**: the scenario is re-run under
-//!    [`rt_sim::run_observed`] with [`rt_core::World::check_soak_invariants`]
-//!    evaluated after **every** event, which (among the structural
-//!    invariants) rejects the run the instant a corrupt payload is
-//!    delivered to a reader as clean data.
-//! 2. **The counters**: the report records the integrity counters of each
-//!    run, and [`validate_report`] rejects any document where a corrupt
-//!    block was delivered, where injected corruption went undetected
-//!    (every corrupt completion must be caught by demand verification or
-//!    the scrubber), or where the control run saw corruption at all.
-//!
-//! Everything is seeded; a given build either always passes or always
-//! fails. The `--smoke` variant shrinks the machine for CI.
+//! The `rapid-transit integrity` sweep (`BENCH_integrity.json`): each
+//! paper pattern clean, with silent-corruption windows, and with the
+//! windows plus the idle-time scrubber, all with one replica for repair.
 
-use rt_core::experiment::run_experiment;
 use rt_core::faults::{parse_fault_specs, FaultSpecError};
-use rt_core::{ExperimentConfig, ObsConfig, PrefetchConfig, RunMetrics, World};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-use rt_sim::{run_observed, ObservedEnd, Scheduler};
+use rt_core::PrefetchConfig;
+use rt_patterns::{AccessPattern, SyncStyle};
 
-use crate::json::{num_obj, sweep_report, Check, Json};
-use crate::FlightDump;
-
-/// Report format version.
-pub const SCHEMA: u64 = 1;
-
-/// Per-run event backstop for the observed re-run; a run on either
-/// machine takes well under a million events, so hitting this means the
-/// run diverged.
-const RUN_EVENT_BUDGET: u64 = 20_000_000;
+use crate::json::Json;
+use crate::sweep::{every, machine, named, objects, positive, zero, Rule, Scenario, Shape, Soak};
+use crate::sweep::{Sweep, EVENTS, HIT_RATIO, NO_VIOLATIONS, READ_MS, TOTAL_MS, VIOLATIONS};
 
 /// The three ways each pattern runs.
 pub const VARIANTS: [&str; 3] = ["clean", "corrupt", "corrupt-scrub"];
 
-/// One integrity scenario: a pattern under one corruption/scrub variant.
-pub struct IntegrityScenario {
-    /// Stable scenario name (report key), `<pattern>/<variant>`.
-    pub name: String,
-    /// Which variant this is (one of [`VARIANTS`]).
-    pub variant: &'static str,
-    /// The full experiment configuration.
-    pub cfg: ExperimentConfig,
+fn clean(name: &str) -> bool {
+    name.ends_with("/clean")
 }
 
-/// The fixed scenario set: every paper pattern under every variant.
-/// `smoke` shrinks the machine (4 nodes, 200 blocks) for CI. A malformed
-/// spec is reported as a typed [`FaultSpecError`] rather than a panic,
-/// so the CLI can surface it through its exit code.
-pub fn scenarios(smoke: bool) -> Result<Vec<IntegrityScenario>, FaultSpecError> {
+/// The integrity sweep.
+pub const SWEEP: Sweep = Sweep {
+    name: "integrity",
+    out: "BENCH_integrity.json",
+    scenarios,
+    shape: Shape::Single,
+    fields: &[
+        TOTAL_MS,
+        READ_MS,
+        HIT_RATIO,
+        ("corruptions", |m, _| m.integrity.corruptions as f64),
+        ("detections", |m, _| m.integrity.detections as f64),
+        ("repairs", |m, _| m.integrity.repairs as f64),
+        ("rewrites", |m, _| m.integrity.rewrites as f64),
+        ("scrubbed", |m, _| m.integrity.scrubbed as f64),
+        ("scrub_detections", |m, _| {
+            m.integrity.scrub_detections as f64
+        }),
+        ("poisoned_blocks", |m, _| m.integrity.poisoned_blocks as f64),
+        ("failed_reads", |m, _| m.integrity.failed_reads as f64),
+        ("corrupt_delivered", |m, _| {
+            m.integrity.corrupt_delivered as f64
+        }),
+        ("quarantines", |m, _| m.integrity.quarantines as f64),
+        ("quarantined_ms", |m, _| {
+            m.integrity.quarantined_time.as_millis_f64()
+        }),
+    ],
+    soak: Some(Soak {
+        key: "observed",
+        events: [0, 0],
+        fields: &[EVENTS, VIOLATIONS],
+    }),
+    rules: &[
+        NO_VIOLATIONS,
+        Rule::Field("no-corrupt-delivery", every, "corrupt_delivered", zero),
+        Rule::Field("control-uncorrupted", clean, "corruptions", zero),
+        Rule::Field("control-unpoisoned", clean, "poisoned_blocks", zero),
+        Rule::Field("observed-ran", every, "events", positive),
+        Rule::Report("all-caught", |doc, c| {
+            for (ctx, _, run) in objects(doc).filter(|o| !clean(o.1) && o.0.ends_with("/run")) {
+                let n = |k| run.number(k).unwrap_or(0.0);
+                let (corrupt, caught) = (n("corruptions"), n("detections") + n("scrub_detections"));
+                if corrupt == 0.0 || caught != corrupt {
+                    c.fail(format!(
+                        "{ctx}: {corrupt} corruptions observed, {caught} caught"
+                    ));
+                }
+            }
+        }),
+        Rule::Report("scrubbed", |doc, c| {
+            let mut scrub = named(doc)
+                .filter(|(n, _)| n.ends_with("/corrupt-scrub"))
+                .peekable();
+            let idle = |s: &Json| s.get("run").and_then(|r| r.number("scrubbed")) == Some(0.0);
+            if scrub.peek().is_some() && scrub.all(|(_, s)| idle(s)) {
+                c.fail("scrub variants never issued a scrub read");
+            }
+        }),
+    ],
+};
+
+fn scenarios(smoke: bool) -> Result<Vec<Scenario>, FaultSpecError> {
     let mut out = Vec::new();
     for pattern in AccessPattern::ALL {
         for variant in VARIANTS {
-            let mut cfg = ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
-            if smoke {
-                cfg.procs = 4;
-                cfg.disks = 4;
-                cfg.workload = WorkloadParams {
-                    procs: 4,
-                    file_blocks: 200,
-                    total_reads: 200,
-                    ..WorkloadParams::paper()
-                };
-            }
+            let mut cfg = machine(pattern, SyncStyle::BlocksPerProc(10), smoke);
             cfg.prefetch = PrefetchConfig::paper();
             if variant != "clean" {
                 // One device corrupting for the whole run, another for a
@@ -77,254 +91,15 @@ pub fn scenarios(smoke: bool) -> Result<Vec<IntegrityScenario>, FaultSpecError> 
                 cfg.faults.plan = parse_fault_specs("corrupt:1:p0.2,corrupt:2:p0.3@50ms-900ms")?;
                 cfg.faults.replicas = 1;
             }
-            if variant == "corrupt-scrub" {
-                cfg.integrity.scrub = true;
-            }
-            out.push(IntegrityScenario {
-                name: format!("{pattern}/{variant}"),
-                variant,
-                cfg,
+            cfg.integrity.scrub = variant == "corrupt-scrub";
+            let scenario = Scenario::new(format!("{pattern}/{variant}"), cfg);
+            out.push(Scenario {
+                variant: Some(variant),
+                ..scenario
             });
         }
     }
     Ok(out)
-}
-
-/// Outcome of one scenario: the metrics of the run plus the observed
-/// re-run's event count and first invariant violation, if any.
-#[derive(Clone, Debug)]
-pub struct IntegrityOutcome {
-    /// Metrics of the (identical, deterministic) plain run.
-    pub metrics: RunMetrics,
-    /// Events the observed re-run dispatched.
-    pub events: u64,
-    /// First per-event invariant violation (`None` means clean).
-    pub violation: Option<String>,
-    /// Flight-recorder dump of the violating re-run (`None` when clean).
-    pub flight: Option<FlightDump>,
-}
-
-/// Run one scenario: the plain run for its metrics, then the observed
-/// re-run with every invariant checked after every event. The re-run
-/// keeps a flight recorder; when the corrupt-delivery tripwire (or any
-/// other invariant) fires, its recording comes back as
-/// [`IntegrityOutcome::flight`] for a postmortem dump.
-pub fn run_scenario(cfg: &ExperimentConfig) -> IntegrityOutcome {
-    let metrics = run_experiment(cfg);
-    let mut world = World::new(cfg.clone());
-    world.enable_obs(ObsConfig::flight_recorder());
-    let mut sched = Scheduler::new();
-    world.bootstrap(&mut sched);
-    let end = run_observed(&mut world, &mut sched, RUN_EVENT_BUDGET, |w, _| {
-        w.check_soak_invariants()
-    });
-    let (events, violation) = match end {
-        ObservedEnd::Finished(run) => {
-            let violation = if run.budget_exhausted {
-                Some(format!("run exceeded the {RUN_EVENT_BUDGET}-event budget"))
-            } else if !world.complete() {
-                Some("run drained without finishing".into())
-            } else {
-                None
-            };
-            (run.events, violation)
-        }
-        ObservedEnd::Violation {
-            message,
-            at,
-            events,
-        } => (
-            events,
-            Some(format!("{message} (at {at:?}, event {events})")),
-        ),
-    };
-    let flight = if violation.is_some() {
-        FlightDump::take(&mut world)
-    } else {
-        None
-    };
-    IntegrityOutcome {
-        metrics,
-        events,
-        violation,
-        flight,
-    }
-}
-
-/// Run every scenario.
-pub fn run_sweep(
-    smoke: bool,
-) -> Result<Vec<(IntegrityScenario, IntegrityOutcome)>, FaultSpecError> {
-    Ok(scenarios(smoke)?
-        .into_iter()
-        .map(|s| {
-            let out = run_scenario(&s.cfg);
-            (s, out)
-        })
-        .collect())
-}
-
-fn run_json(m: &RunMetrics) -> Json {
-    let ig = &m.integrity;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("corruptions", ig.corruptions as f64),
-        ("detections", ig.detections as f64),
-        ("repairs", ig.repairs as f64),
-        ("rewrites", ig.rewrites as f64),
-        ("scrubbed", ig.scrubbed as f64),
-        ("scrub_detections", ig.scrub_detections as f64),
-        ("poisoned_blocks", ig.poisoned_blocks as f64),
-        ("failed_reads", ig.failed_reads as f64),
-        ("corrupt_delivered", ig.corrupt_delivered as f64),
-        ("quarantines", ig.quarantines as f64),
-        ("quarantined_ms", ig.quarantined_time.as_millis_f64()),
-    ])
-}
-
-/// Build the report document from a sweep's results.
-pub fn report(results: &[(IntegrityScenario, IntegrityOutcome)], smoke: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        smoke,
-        results
-            .iter()
-            .map(|(s, out)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    ("variant".into(), Json::Str(s.variant.to_string())),
-                    ("run".into(), run_json(&out.metrics)),
-                    (
-                        "observed".into(),
-                        num_obj(&[
-                            ("events", out.events as f64),
-                            ("violations", u64::from(out.violation.is_some()) as f64),
-                        ]),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 14] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "corruptions",
-    "detections",
-    "repairs",
-    "rewrites",
-    "scrubbed",
-    "scrub_detections",
-    "poisoned_blocks",
-    "failed_reads",
-    "corrupt_delivered",
-    "quarantines",
-    "quarantined_ms",
-];
-
-/// Check that `doc` is a structurally valid integrity report, and that
-/// it witnesses the end-to-end guarantee: no scenario delivered a
-/// corrupt block, every injected corruption was caught by a check
-/// (demand verification or the scrubber), the control runs stayed
-/// entirely clean, the scrub variants actually scrubbed, and the
-/// per-event observed re-runs reported zero violations. Every failure
-/// is reported, newline-joined, not just the first.
-pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let scenarios = c.array(doc, "scenarios");
-    let structure_ok = !scenarios.is_empty();
-    let mut seen = [0u32; 3];
-    let mut scrubbed_total = 0.0;
-    for (i, s) in scenarios.iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        let variant = c.string(s, "variant", &format!("scenario {name}"));
-        let slot = variant.and_then(|v| VARIANTS.iter().position(|k| *k == v));
-        match (variant, slot) {
-            (Some(v), None) => c.fail(format!("scenario {name}: unknown variant {v:?}")),
-            (_, Some(slot)) => seen[slot] += 1,
-            _ => {}
-        }
-        let Some(run) = s.get("run") else {
-            c.fail(format!("scenario {name}: missing run"));
-            continue;
-        };
-        c.nums(run, &RUN_FIELDS, &format!("scenario {name}"));
-        let num = |f: &str| run.get(f).and_then(Json::as_f64);
-        // The guarantee itself: nothing corrupt ever reached a reader.
-        if num("corrupt_delivered").is_some_and(|v| v != 0.0) {
-            c.fail(format!(
-                "scenario {name}: delivered a corrupt block to a reader"
-            ));
-        }
-        let corruptions = num("corruptions").unwrap_or(0.0);
-        let caught = num("detections").unwrap_or(0.0) + num("scrub_detections").unwrap_or(0.0);
-        match variant {
-            // A guard, not a nested if: a clean control that passes it must
-            // not fall through to the injected-corruption checks below.
-            Some("clean")
-                if corruptions != 0.0 || num("poisoned_blocks").is_some_and(|v| v != 0.0) =>
-            {
-                c.fail(format!("scenario {name}: control run saw corruption"));
-            }
-            Some("clean") | None => {}
-            Some(_) => {
-                if corruptions == 0.0 {
-                    c.fail(format!(
-                        "scenario {name}: corruption was injected but never observed"
-                    ));
-                } else if caught != corruptions {
-                    c.fail(format!(
-                        "scenario {name}: {corruptions} corrupt completions but only \
-                         {caught} caught by a check"
-                    ));
-                }
-            }
-        }
-        if variant == Some("corrupt-scrub") {
-            scrubbed_total += num("scrubbed").unwrap_or(0.0);
-        }
-        let Some(observed) = s.get("observed") else {
-            c.fail(format!("scenario {name}: missing observed"));
-            continue;
-        };
-        if c.num(
-            observed,
-            "violations",
-            &format!("scenario {name}: observed"),
-        )
-        .is_some_and(|v| v != 0.0)
-        {
-            c.fail(format!(
-                "scenario {name}: per-event invariant check reported violations"
-            ));
-        }
-        if observed
-            .get("events")
-            .and_then(Json::as_f64)
-            .is_none_or(|e| e <= 0.0)
-        {
-            c.fail(format!("scenario {name}: observed re-run ran no events"));
-        }
-    }
-    if structure_ok {
-        for (v, n) in VARIANTS.iter().zip(seen) {
-            if n == 0 {
-                c.fail(format!("no {v} scenario in the report"));
-            }
-        }
-        if scrubbed_total == 0.0 {
-            c.fail("scrub variants never issued a scrub read");
-        }
-    }
-    c.finish()
 }
 
 #[cfg(test)]
@@ -338,58 +113,26 @@ mod tests {
             assert_eq!(set.len(), AccessPattern::ALL.len() * VARIANTS.len());
             for s in &set {
                 s.cfg.validate().unwrap();
-                match s.variant {
-                    "clean" => assert!(!s.cfg.integrity.active_with(&s.cfg.faults.plan)),
-                    _ => {
-                        assert!(s.cfg.faults.plan.has_corruption());
-                        assert_eq!(s.cfg.faults.replicas, 1);
-                    }
+                if s.variant == Some("clean") {
+                    assert!(!s.cfg.integrity.active_with(&s.cfg.faults.plan));
+                } else {
+                    assert!(s.cfg.faults.plan.has_corruption());
+                    assert_eq!(s.cfg.faults.replicas, 1);
                 }
-                assert_eq!(s.variant == "corrupt-scrub", s.cfg.integrity.scrub);
+                assert_eq!(s.variant == Some("corrupt-scrub"), s.cfg.integrity.scrub);
             }
         }
     }
 
     #[test]
     fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        // Reparse what we would write to disk.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
-        for (s, out) in &results {
-            assert!(out.violation.is_none(), "{}: {:?}", s.name, out.violation);
+        let rows = SWEEP.run(true).unwrap();
+        for r in &rows {
+            assert_eq!(r.violation().map(|v| v.0), None, "{}", r.scenario.name);
         }
-    }
-
-    #[test]
-    fn validation_rejects_broken_reports() {
-        assert!(validate_report(&Json::parse("{}").unwrap()).is_err());
-        let doc = Json::parse(r#"{"schema":1,"smoke":true,"scenarios":[]}"#).unwrap();
-        assert!(validate_report(&doc).unwrap_err().contains("empty"));
-        // A delivered corrupt block must be rejected even if every other
-        // field is in order.
-        let run_fields: Vec<String> = RUN_FIELDS
-            .iter()
-            .map(|f| {
-                let v = match *f {
-                    "corruptions" => 2,
-                    "corrupt_delivered" | "detections" | "scrub_detections" => 1,
-                    _ => 0,
-                };
-                format!("\"{f}\":{v}")
-            })
-            .collect();
-        let text = format!(
-            r#"{{"schema":1,"smoke":true,"scenarios":[{{"name":"gw/corrupt",
-                "variant":"corrupt","run":{{{}}},
-                "observed":{{"events":100,"violations":0}}}}]}}"#,
-            run_fields.join(",")
-        );
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_report(&doc)
-            .unwrap_err()
-            .contains("delivered a corrupt block"));
+        let doc = SWEEP.report(&rows, true);
+        SWEEP
+            .validate(&Json::parse(&doc.pretty()).unwrap())
+            .unwrap();
     }
 }

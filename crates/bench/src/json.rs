@@ -41,6 +41,11 @@ impl Json {
         }
     }
 
+    /// The number at `key` if this is an object containing one.
+    pub fn number(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(Json::as_f64)
+    }
+
     /// The boolean value, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -174,8 +179,8 @@ pub fn num_obj(fields: &[(&str, f64)]) -> Json {
     Json::Obj(fields.iter().map(|(k, v)| num(k, *v)).collect())
 }
 
-/// The standard sweep-report shell shared by the faults, soak, and
-/// integrity harnesses: format version, smoke flag, scenario array.
+/// The standard sweep-report shell shared by every sweep: format
+/// version, smoke flag, scenario array.
 pub fn sweep_report(schema: u64, smoke: bool, scenarios: Vec<Json>) -> Json {
     Json::Obj(vec![
         ("schema".into(), Json::Num(schema as f64)),

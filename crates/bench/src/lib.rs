@@ -27,6 +27,7 @@ pub mod integrity;
 pub mod json;
 pub mod perf;
 pub mod soak;
+pub mod sweep;
 pub mod tail;
 pub mod trace_check;
 
@@ -34,9 +35,9 @@ pub mod trace_check;
 pub const FLIGHT_TAIL_EVENTS: usize = 40;
 
 /// A flight-recorder postmortem: the Perfetto JSON document plus a
-/// human-readable tail of the last events before a violation. The soak
-/// and integrity harnesses produce one whenever an invariant (including
-/// the corrupt-delivery tripwire) fires mid-run.
+/// human-readable tail of the last events before a violation. Every
+/// sweep produces one whenever a check (including the corrupt-delivery
+/// tripwire) fails mid-run.
 #[derive(Clone, Debug)]
 pub struct FlightDump {
     /// Chrome Trace Event JSON (open in ui.perfetto.dev).
@@ -48,10 +49,15 @@ pub struct FlightDump {
 impl FlightDump {
     /// Detach `world`'s recording (if it was observed) as a dump.
     pub fn take(world: &mut rt_core::World) -> Option<FlightDump> {
-        world.take_obs().map(|d| FlightDump {
-            perfetto: d.to_perfetto(),
-            tail: d.tail(FLIGHT_TAIL_EVENTS),
-        })
+        world.take_obs().as_ref().map(FlightDump::of)
+    }
+
+    /// The dump of a detached recording.
+    pub fn of(data: &rt_core::ObsData) -> FlightDump {
+        FlightDump {
+            perfetto: data.to_perfetto(),
+            tail: data.tail(FLIGHT_TAIL_EVENTS),
+        }
     }
 }
 

@@ -1,363 +1,120 @@
-//! The `rapid-transit soak` harness: deterministic chaos soak for the
-//! overload-robustness layer, emitted as `BENCH_overload.json`.
-//!
-//! Each scenario drives a small machine into sustained overload — every
-//! disk saturated, one hot disk, bursty barrier-released arrivals, or
-//! overload combined with fault windows — with bounded device queues and
-//! the prefetch admission controller turned on. Two things are measured:
-//!
-//! 1. **Performance under pressure**: the scenario runs base-vs-prefetch
-//!    (both halves with the bounds active), and the report records both
-//!    halves plus the overload counters. Admission exists so prefetching
-//!    keeps paying off under overload; the validator rejects any report
-//!    where the prefetch half is slower than the base half.
-//! 2. **Structural soundness**: each scenario is then *soaked* — re-run
-//!    under [`rt_sim::run_observed`] across many derived seeds until a
-//!    target number of events (one million for the full run) has been
-//!    dispatched with [`rt_core::World::check_soak_invariants`] evaluated
-//!    after **every** event, plus a progress watchdog that catches
-//!    livelock (events flowing, no reads completing).
-//!
-//! Everything is seeded; a given build either always passes or always
-//! fails. The `--smoke` variant shrinks the event target for CI.
+//! The `rapid-transit soak` sweep (`BENCH_overload.json`): a small
+//! machine in sustained overload with bounded queues and prefetch
+//! admission, whose prefetch half must stay no slower than its base half
+//! and is then soaked over derived seeds.
 
-use rt_core::experiment::run_pair;
 use rt_core::faults::{parse_all_fault_specs, parse_fault_specs, FaultSpecError};
-use rt_core::{AdmissionConfig, ExperimentConfig, ObsConfig, RunMetrics, RunPair, World};
-use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
-use rt_sim::{run_observed, ObservedEnd, Scheduler, SimDuration};
+use rt_core::{AdmissionConfig, PrefetchConfig};
+use rt_patterns::{AccessPattern, SyncStyle};
+use rt_sim::SimDuration;
 
-use crate::json::{num_obj, sweep_report, Check, Json};
-use crate::FlightDump;
+use crate::json::Json;
+use crate::sweep::{machine, named, objects, Rule, Scenario, Shape, Soak, Sweep};
+use crate::sweep::{EVENTS, HIT_RATIO, NO_VIOLATIONS, READ_MS, TOTAL_MS, VIOLATIONS};
 
-/// Report format version.
-pub const SCHEMA: u64 = 1;
+/// Events each scenario's soak must check: `[full, smoke]`.
+pub const SOAK_EVENTS: [u64; 2] = [1_000_000, 60_000];
 
-/// Events each scenario's soak must dispatch (full run).
-pub const SOAK_EVENTS: u64 = 1_000_000;
+/// The overload soak.
+pub const SWEEP: Sweep = Sweep {
+    name: "soak",
+    out: "BENCH_overload.json",
+    scenarios,
+    shape: Shape::Pair,
+    fields: &[
+        TOTAL_MS,
+        READ_MS,
+        HIT_RATIO,
+        ("prefetches_shed", |m, _| m.overload.prefetches_shed as f64),
+        ("prefetches_throttled", |m, _| {
+            m.overload.prefetches_throttled as f64
+        }),
+        ("demand_parked", |m, _| m.overload.demand_parked as f64),
+        ("demand_behind_prefetch", |m, _| {
+            m.overload.demand_behind_prefetch as f64
+        }),
+        ("cache_high_water_hits", |m, _| {
+            m.overload.cache_high_water_hits as f64
+        }),
+        ("max_queue_depth", |m, _| m.overload.max_queue_depth as f64),
+    ],
+    soak: Some(Soak {
+        key: "soak",
+        events: SOAK_EVENTS,
+        fields: &[EVENTS, ("runs", |_, v| v.runs as f64), VIOLATIONS],
+    }),
+    rules: &[
+        NO_VIOLATIONS,
+        Rule::Report("prefetch-pays", |doc, c| {
+            for (name, s) in named(doc) {
+                let total = |half| s.get(half).and_then(|r| r.number("total_ms"));
+                if let (Some(base), Some(pf)) = (total("base"), total("prefetch")) {
+                    if pf > base {
+                        c.fail(format!(
+                            "scenario {name}: prefetch half slower than base ({pf} vs {base} ms)"
+                        ));
+                    }
+                }
+            }
+        }),
+        Rule::Report("soak-floor", |doc, c| {
+            let smoke = doc.get("smoke").and_then(Json::as_bool).unwrap_or(false);
+            let floor = SOAK_EVENTS[usize::from(smoke)] as f64;
+            let msg = format!("soak fell short of the {floor}-event floor");
+            for (ctx, _, soak) in objects(doc).filter(|o| o.0.ends_with("/soak")) {
+                if let Some(events) = soak.number("events").filter(|&e| e < floor) {
+                    c.fail(format!("{ctx}: {msg} (events = {events})"));
+                }
+            }
+        }),
+    ],
+};
 
-/// Events per scenario for the CI smoke variant.
-pub const SMOKE_EVENTS: u64 = 60_000;
-
-/// Per-run event backstop inside the soak loop; a quick-machine run takes
-/// a few thousand events, so hitting this means the run diverged.
-const RUN_EVENT_BUDGET: u64 = 20_000_000;
-
-/// Watchdog window: if this many events pass without a single read
-/// completing, the run is declared livelocked.
-const STALL_WINDOW: u64 = 200_000;
-
-/// One named overload scenario with the backpressure layer enabled.
-pub struct SoakScenario {
-    /// Stable scenario name (report key).
-    pub name: &'static str,
-    /// The full experiment configuration, bounds and admission included.
-    pub cfg: ExperimentConfig,
-}
-
-/// The fixed scenario set. All scenarios use a small machine (4 nodes,
-/// 200 blocks) so individual runs are cheap and the soak loop can cycle
-/// hundreds of seeds; overload comes from the workload shape, not scale.
-/// A malformed spec is reported as a typed [`FaultSpecError`] rather
-/// than a panic, so the CLI can surface it through its exit code.
-pub fn scenarios() -> Result<Vec<SoakScenario>, FaultSpecError> {
-    let small = |pattern, sync, compute_us: u64| {
-        let mut cfg = ExperimentConfig::paper_default(pattern, sync);
-        cfg.procs = 4;
-        cfg.disks = 4;
-        cfg.workload = WorkloadParams {
-            procs: 4,
-            file_blocks: 200,
-            total_reads: 200,
-            ..WorkloadParams::paper()
-        };
+/// The fixed scenario set, the same for smoke runs (only the soak
+/// shrinks), all on the small machine so single runs are cheap and the
+/// soak cycles hundreds of seeds: overload comes from the workload shape.
+fn scenarios(_smoke: bool) -> Result<Vec<Scenario>, FaultSpecError> {
+    use AccessPattern::{GlobalFixedPortions, GlobalWholeFile, LocalFixedPortions};
+    use SyncStyle::{BlocksPerProc, BlocksTotal};
+    let small = |name, pattern, sync, compute_us, disks| {
+        let mut cfg = machine(pattern, sync, true);
+        cfg.disks = disks;
         cfg.compute_mean = SimDuration::from_micros(compute_us);
-        cfg.prefetch = rt_core::PrefetchConfig::paper();
+        cfg.prefetch = PrefetchConfig::paper();
         cfg.queue_depth = Some(2);
         cfg.admission = AdmissionConfig::on(4);
-        cfg
+        Scenario::new(name, cfg)
     };
-    // io-burst: every node issues back-to-back reads; all four disks run
-    // saturated for the whole run.
-    let io_burst = small(AccessPattern::GlobalWholeFile, SyncStyle::None, 500);
-    // hot-disk: twice as many nodes as devices and barrier-released
-    // bursts, so both depth-2 queues fill and demand reads park — the
-    // worst case for shedding. The barrier gaps leave slack prefetching
-    // can exploit; steady single-device saturation would leave nothing
-    // to overlap.
-    let mut hot_disk = small(
-        AccessPattern::GlobalWholeFile,
-        SyncStyle::BlocksTotal(40),
-        4_000,
-    );
-    hot_disk.disks = 2;
-    // burst-barrier: a total-blocks barrier releases all four nodes at
-    // once, so arrivals come in synchronized bursts.
-    let burst_barrier = small(
-        AccessPattern::GlobalFixedPortions,
-        SyncStyle::BlocksTotal(40),
-        1_000,
-    );
-    // straggler-storm: overload plus fault windows — one device slowed
-    // 8x mid-run and another flaky — exercising shed/park/throttle and
-    // the retry path together.
-    let mut straggler_storm = small(
-        AccessPattern::LocalFixedPortions,
-        SyncStyle::BlocksPerProc(10),
-        1_000,
-    );
-    straggler_storm.faults.plan = parse_fault_specs("straggler:2:x8@50ms-400ms,flaky:1:p0.2")?;
-    // node-churn: overload plus node crashes — one node bounces
-    // (crash + rejoin) and another dies for good mid-run, exercising
-    // lease/pin/waiter reclamation, barrier shrink, daemon failover,
-    // and parked-demand re-charging under the same bounded queues and
-    // admission control as every other soak scenario.
-    let mut node_churn = small(
-        AccessPattern::GlobalWholeFile,
-        SyncStyle::BlocksPerProc(10),
-        1_000,
-    );
-    let (_, churn_crashes) = parse_all_fault_specs("crash:1@40ms:rejoin@160ms,crash:3@90ms")?;
-    for c in churn_crashes.entries() {
-        node_churn.faults.crashes.push(*c);
-    }
-    Ok(vec![
-        SoakScenario {
-            name: "io-burst",
-            cfg: io_burst,
-        },
-        SoakScenario {
-            name: "hot-disk",
-            cfg: hot_disk,
-        },
-        SoakScenario {
-            name: "burst-barrier",
-            cfg: burst_barrier,
-        },
-        SoakScenario {
-            name: "straggler-storm",
-            cfg: straggler_storm,
-        },
-        SoakScenario {
-            name: "node-churn",
-            cfg: node_churn,
-        },
-    ])
-}
-
-/// Outcome of soaking one scenario.
-#[derive(Clone, Debug)]
-pub struct SoakOutcome {
-    /// Events dispatched across all seeds.
-    pub events: u64,
-    /// Complete runs executed.
-    pub runs: u64,
-    /// First invariant violation, if any (`None` means the soak is clean).
-    pub violation: Option<String>,
-    /// Flight-recorder dump of the violating run (`None` when clean).
-    pub flight: Option<FlightDump>,
-}
-
-/// Soak one scenario: run it over derived seeds until `target_events`
-/// have been dispatched, checking every invariant after every event.
-/// Stops at the first violation. Every cycle runs with the flight
-/// recorder on (a short event tail plus dense gauges); when a cycle
-/// violates an invariant, its recording comes back as
-/// [`SoakOutcome::flight`] for a postmortem dump.
-pub fn soak_scenario(cfg: &ExperimentConfig, target_events: u64) -> SoakOutcome {
-    let mut outcome = SoakOutcome {
-        events: 0,
-        runs: 0,
-        violation: None,
-        flight: None,
-    };
-    while outcome.events < target_events {
-        let mut cfg = cfg.clone();
-        // Different seed each cycle -> different workload and timing; the
-        // derivation is fixed so the whole soak is reproducible.
-        cfg.seed = cfg
-            .seed
-            .wrapping_add(outcome.runs.wrapping_mul(0x9e37_79b9));
-        let mut world = World::new(cfg);
-        world.enable_obs(ObsConfig::flight_recorder());
-        let mut sched = Scheduler::new();
-        world.bootstrap(&mut sched);
-        // Watchdog state: the soak must keep retiring reads. Events
-        // without forward progress beyond STALL_WINDOW mean livelock.
-        let mut last_reads = 0u64;
-        let mut last_progress_event = 0u64;
-        let end = run_observed(&mut world, &mut sched, RUN_EVENT_BUDGET, |w, events| {
-            w.check_soak_invariants()?;
-            let reads = w.reads_done();
-            if reads > last_reads {
-                last_reads = reads;
-                last_progress_event = events;
-            } else if events - last_progress_event > STALL_WINDOW {
-                return Err(format!(
-                    "livelock: {} events since the last completed read",
-                    events - last_progress_event
-                ));
-            }
-            Ok(())
-        });
-        match end {
-            ObservedEnd::Finished(run) => {
-                if run.budget_exhausted {
-                    outcome.violation =
-                        Some(format!("run exceeded the {RUN_EVENT_BUDGET}-event budget"));
-                    outcome.flight = FlightDump::take(&mut world);
-                    return outcome;
-                }
-                if !world.complete() {
-                    outcome.violation = Some("run drained without finishing".into());
-                    outcome.flight = FlightDump::take(&mut world);
-                    return outcome;
-                }
-                outcome.events += run.events;
-                outcome.runs += 1;
-            }
-            ObservedEnd::Violation {
-                message,
-                at,
-                events,
-            } => {
-                outcome.events += events;
-                outcome.violation = Some(format!(
-                    "seed cycle {}: {message} (at {:?}, event {events})",
-                    outcome.runs, at
-                ));
-                outcome.flight = FlightDump::take(&mut world);
-                return outcome;
-            }
-        }
-    }
-    outcome
-}
-
-/// Run every scenario: the base/prefetch pair, then the soak.
-pub fn run_sweep(smoke: bool) -> Result<Vec<(&'static str, RunPair, SoakOutcome)>, FaultSpecError> {
-    let target = if smoke { SMOKE_EVENTS } else { SOAK_EVENTS };
-    Ok(scenarios()?
-        .into_iter()
-        .map(|s| {
-            let pair = run_pair(&s.cfg);
-            let soak = soak_scenario(&s.cfg, target);
-            (s.name, pair, soak)
-        })
-        .collect())
-}
-
-fn run_json(m: &RunMetrics) -> Json {
-    let o = &m.overload;
-    num_obj(&[
-        ("total_ms", m.total_time.as_millis_f64()),
-        ("read_ms", m.mean_read_ms()),
-        ("hit_ratio", m.hit_ratio),
-        ("prefetches_shed", o.prefetches_shed as f64),
-        ("prefetches_throttled", o.prefetches_throttled as f64),
-        ("demand_parked", o.demand_parked as f64),
-        ("demand_behind_prefetch", o.demand_behind_prefetch as f64),
-        ("cache_high_water_hits", o.cache_high_water_hits as f64),
-        ("max_queue_depth", o.max_queue_depth as f64),
-    ])
-}
-
-/// Build the report document from a sweep's results.
-pub fn report(results: &[(&'static str, RunPair, SoakOutcome)], smoke: bool) -> Json {
-    sweep_report(
-        SCHEMA,
-        smoke,
-        results
-            .iter()
-            .map(|(name, pair, soak)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str((*name).to_string())),
-                    ("base".into(), run_json(&pair.base)),
-                    ("prefetch".into(), run_json(&pair.prefetch)),
-                    (
-                        "soak".into(),
-                        num_obj(&[
-                            ("events", soak.events as f64),
-                            ("runs", soak.runs as f64),
-                            ("violations", u64::from(soak.violation.is_some()) as f64),
-                        ]),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Fields every per-run object in the report must carry.
-const RUN_FIELDS: [&str; 9] = [
-    "total_ms",
-    "read_ms",
-    "hit_ratio",
-    "prefetches_shed",
-    "prefetches_throttled",
-    "demand_parked",
-    "demand_behind_prefetch",
-    "cache_high_water_hits",
-    "max_queue_depth",
-];
-
-/// Check that `doc` is a structurally valid overload report: correct
-/// schema, a non-empty scenario array, every run object carrying all
-/// counters, zero soak violations with the full event target met (unless
-/// smoke), and the prefetch half no slower than the base half — the
-/// property the admission controller exists to preserve. Every failure
-/// is reported, newline-joined, not just the first.
-pub fn validate_report(doc: &Json) -> Result<(), String> {
-    let mut c = Check::new();
-    c.require_schema(doc, SCHEMA);
-    let smoke = doc.get("smoke").and_then(Json::as_bool).unwrap_or(false);
-    for (i, s) in c.array(doc, "scenarios").iter().enumerate() {
-        let Some(name) = c.string(s, "name", &format!("scenario {i}")) else {
-            continue;
-        };
-        for half in ["base", "prefetch"] {
-            match s.get(half) {
-                Some(run) => c.nums(run, &RUN_FIELDS, &format!("scenario {name}/{half}")),
-                None => c.fail(format!("scenario {name}: missing {half} run")),
-            }
-        }
-        let total = |half: &str| {
-            s.get(half)
-                .and_then(|r| r.get("total_ms"))
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN)
-        };
-        let (base_ms, pf_ms) = (total("base"), total("prefetch"));
-        // NaN (a missing or non-numeric field) must fail too, so compare
-        // via matches! rather than `pf <= base`.
-        if !matches!(
-            pf_ms.partial_cmp(&base_ms),
-            Some(core::cmp::Ordering::Less | core::cmp::Ordering::Equal)
-        ) {
-            c.fail(format!(
-                "scenario {name}: prefetch half slower than base under overload \
-                 ({pf_ms} ms vs {base_ms} ms)"
-            ));
-        }
-        let Some(soak) = s.get("soak") else {
-            c.fail(format!("scenario {name}: missing soak"));
-            continue;
-        };
-        if c.num(soak, "violations", &format!("scenario {name}: soak"))
-            .is_some_and(|v| v != 0.0)
-        {
-            c.fail(format!("scenario {name}: soak reported violations"));
-        }
-        let floor = if smoke { SMOKE_EVENTS } else { SOAK_EVENTS } as f64;
-        if let Some(events) = c.num(soak, "events", &format!("scenario {name}: soak")) {
-            if events < floor {
-                c.fail(format!(
-                    "scenario {name}: soak dispatched {events} events, below the {floor} floor"
-                ));
-            }
-        }
-    }
-    c.finish()
+    let mut set = vec![
+        // Every node issues back-to-back reads; all four disks saturate.
+        small("io-burst", GlobalWholeFile, SyncStyle::None, 500, 4),
+        // Twice as many nodes as devices and barrier-released bursts, so
+        // both depth-2 queues fill and demand reads park — the worst case
+        // for shedding; the barrier gaps leave slack to prefetch into.
+        small("hot-disk", GlobalWholeFile, BlocksTotal(40), 4_000, 2),
+        // A total-blocks barrier releases all four nodes at once.
+        small(
+            "burst-barrier",
+            GlobalFixedPortions,
+            BlocksTotal(40),
+            1_000,
+            4,
+        ),
+        // Overload plus one device slowed 8x mid-run and another flaky.
+        small(
+            "straggler-storm",
+            LocalFixedPortions,
+            BlocksPerProc(10),
+            1_000,
+            4,
+        ),
+        // Overload plus one node bouncing (crash + rejoin) and another
+        // dying for good: reclamation, barrier shrink, daemon failover.
+        small("node-churn", GlobalWholeFile, BlocksPerProc(10), 1_000, 4),
+    ];
+    set[3].cfg.faults.plan = parse_fault_specs("straggler:2:x8@50ms-400ms,flaky:1:p0.2")?;
+    set[4].cfg.faults.crashes = parse_all_fault_specs("crash:1@40ms:rejoin@160ms,crash:3@90ms")?.1;
+    Ok(set)
 }
 
 #[cfg(test)]
@@ -366,7 +123,7 @@ mod tests {
 
     #[test]
     fn scenario_set_shape() {
-        let set = scenarios().unwrap();
+        let set = scenarios(false).unwrap();
         assert_eq!(set.len(), 5);
         for s in &set {
             s.cfg.validate().unwrap();
@@ -381,53 +138,22 @@ mod tests {
     }
 
     #[test]
-    fn short_soak_is_clean_and_counts_events() {
-        let cfg = &scenarios().unwrap()[0].cfg;
-        let out = soak_scenario(cfg, 10_000);
-        assert!(out.violation.is_none(), "{:?}", out.violation);
-        assert!(out.events >= 10_000);
-        assert!(out.runs > 0);
-    }
-
-    #[test]
-    fn smoke_sweep_produces_valid_report() {
-        let results = run_sweep(true).unwrap();
-        let doc = report(&results, true);
-        validate_report(&doc).unwrap();
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        validate_report(&parsed).unwrap();
-        // The scenarios actually drive the overload machinery.
-        let hot = results
-            .iter()
-            .find(|(n, _, _)| *n == "hot-disk")
-            .expect("hot-disk scenario present");
-        let o = &hot.1.prefetch.overload;
+    fn smoke_soak_is_clean_and_hits_backpressure() {
+        let rows = SWEEP.run(true).unwrap();
+        for r in &rows {
+            assert_eq!(r.violation().map(|v| v.0), None, "{}", r.scenario.name);
+            let (soak, _) = r.soak.as_ref().unwrap();
+            assert!(soak.events >= SOAK_EVENTS[1] && soak.runs > 1);
+        }
+        let hot = rows.iter().find(|r| r.scenario.name == "hot-disk").unwrap();
+        let o = &hot.metrics(1).overload;
         assert!(
             o.prefetches_shed + o.prefetches_throttled + o.demand_parked > 0,
             "hot-disk scenario never hit backpressure: {o:?}"
         );
-        for (name, _, soak) in &results {
-            assert!(soak.violation.is_none(), "{name}: {:?}", soak.violation);
-        }
-    }
-
-    #[test]
-    fn validation_rejects_broken_reports() {
-        assert!(validate_report(&Json::parse("{}").unwrap()).is_err());
-        let doc = Json::parse(r#"{"schema":1,"smoke":true,"scenarios":[]}"#).unwrap();
-        assert!(validate_report(&doc).unwrap_err().contains("empty"));
-        // A prefetch half slower than base must be rejected.
-        let doc = Json::parse(
-            r#"{"schema":1,"smoke":true,"scenarios":[{"name":"x",
-                "base":{"total_ms":100,"read_ms":1,"hit_ratio":0,"prefetches_shed":0,
-                  "prefetches_throttled":0,"demand_parked":0,"demand_behind_prefetch":0,
-                  "cache_high_water_hits":0,"max_queue_depth":0},
-                "prefetch":{"total_ms":200,"read_ms":1,"hit_ratio":0,"prefetches_shed":0,
-                  "prefetches_throttled":0,"demand_parked":0,"demand_behind_prefetch":0,
-                  "cache_high_water_hits":0,"max_queue_depth":0},
-                "soak":{"events":60000,"runs":1,"violations":0}}]}"#,
-        )
-        .unwrap();
-        assert!(validate_report(&doc).unwrap_err().contains("slower"));
+        let doc = SWEEP.report(&rows, true);
+        SWEEP
+            .validate(&Json::parse(&doc.pretty()).unwrap())
+            .unwrap();
     }
 }

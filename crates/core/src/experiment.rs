@@ -3,7 +3,7 @@
 //! that let identical-configuration replicas share a warmed-up prefix.
 
 use rt_patterns::{AccessPattern, SyncStyle};
-use rt_sim::{run, run_until, run_with_stats, Scheduler};
+use rt_sim::{run, run_observed, run_until, run_with_stats, ObservedEnd, Scheduler};
 
 pub use crate::config::ExperimentConfig;
 
@@ -195,6 +195,120 @@ fn collect_metrics(world: &mut World, end_time: rt_sim::SimTime) -> RunMetrics {
     }
 }
 
+/// Event budget of one [`run_checked`] run; the sweeps' runs take a few
+/// tens of thousands of events, so hitting it means the run diverged.
+const CHECKED_EVENT_BUDGET: u64 = 20_000_000;
+
+/// [`run_checked`]'s watchdog window: this many events without a
+/// completed read, crash or rejoin means livelock.
+const STALL_WINDOW: u64 = 200_000;
+
+/// What [`run_checked`] found out about one run.
+#[derive(Clone, Debug)]
+pub struct Verdict {
+    /// Events dispatched.
+    pub events: u64,
+    /// Runs covered (one per [`run_checked`]; soaks add theirs up).
+    pub runs: u64,
+    /// Reads the survivors (and any rejoiner) completed.
+    pub completed: u64,
+    /// Unread tail of permanently dead nodes' reference strings.
+    pub abandoned: u64,
+    /// Reads the workload would have performed crash-free.
+    pub expected: u64,
+    /// First failed check (`None` means the run is clean).
+    pub violation: Option<String>,
+}
+
+/// One run measured and checked at once: see [`run_checked`].
+pub struct Checked {
+    /// What the checks found.
+    pub verdict: Verdict,
+    /// The metrics collected from the checked world itself when every
+    /// check passed, else the flight recording for a postmortem.
+    pub result: Result<RunMetrics, crate::world::ObsData>,
+}
+
+/// Run `cfg` once with the flight recorder on and every invariant
+/// checked: [`World::check_soak_invariants`] after every event, a
+/// livelock watchdog (200 000 events without a completed read, crash or
+/// rejoin), a 20 000 000-event backstop, and at drain `complete()`,
+/// [`World::check_terminal_invariants`] and
+/// `completed + lost + abandoned == expected`. Recording and checking
+/// are inert, so a clean run's metrics equal [`run_experiment`]'s. A
+/// failed check comes back in the verdict, never as a panic.
+pub fn run_checked(cfg: &ExperimentConfig) -> Checked {
+    run_checked_within(cfg, CHECKED_EVENT_BUDGET)
+}
+
+fn run_checked_within(cfg: &ExperimentConfig, budget: u64) -> Checked {
+    let workload = std::sync::Arc::new(crate::world::generate_workload(cfg));
+    let expected = workload.total_reads() as u64;
+    let mut world = World::with_workload(cfg.clone(), workload);
+    world.enable_obs(crate::world::ObsConfig::flight_recorder());
+    let mut sched = Scheduler::new();
+    world.bootstrap(&mut sched);
+    let (mut last_mark, mut last_progress) = (0u64, 0u64);
+    let end = run_observed(&mut world, &mut sched, budget, |w, events| {
+        w.check_soak_invariants()?;
+        let c = w.crash_metrics();
+        let mark = w.reads_done() + c.crashes + c.rejoins;
+        if mark > last_mark {
+            (last_mark, last_progress) = (mark, events);
+        } else if events - last_progress > STALL_WINDOW {
+            return Err(format!(
+                "livelock: {} events since the last completed read",
+                events - last_progress
+            ));
+        }
+        Ok(())
+    });
+    let (completed, lost) = (world.reads_done(), world.crash_metrics().lost_reads);
+    let abandoned = world.abandoned_reads();
+    let (events, violation) = match end {
+        ObservedEnd::Violation {
+            message,
+            at,
+            events,
+        } => (
+            events,
+            Some(format!("{message} (at {at:?}, event {events})")),
+        ),
+        ObservedEnd::Finished(run) if run.budget_exhausted => (
+            run.events,
+            Some(format!("run exceeded the {budget}-event budget")),
+        ),
+        ObservedEnd::Finished(run) if !world.complete() => {
+            (run.events, Some("run drained without finishing".into()))
+        }
+        ObservedEnd::Finished(run) => {
+            let terminal = world.check_terminal_invariants(sched.now()).err();
+            let accounting = (completed + lost + abandoned != expected).then(|| {
+                format!(
+                    "read accounting: {completed} completed + {lost} lost + \
+                     {abandoned} abandoned != {expected} expected"
+                )
+            });
+            (run.events, terminal.or(accounting))
+        }
+    };
+    let result = match violation {
+        None => Ok(collect_metrics(&mut world, sched.now())),
+        Some(_) => Err(world.take_obs().expect("the flight recorder was on")),
+    };
+    Checked {
+        result,
+        verdict: Verdict {
+            events,
+            runs: 1,
+            completed,
+            abandoned,
+            expected,
+            violation,
+        },
+    }
+}
+
 /// A pausable, forkable experiment: the world together with its scheduler.
 ///
 /// The straight-line runners above build a world, pump it dry, and collect
@@ -308,12 +422,7 @@ pub fn run_replicas_forked(
 /// workload; only the cache partitioning and daemon differ — so the
 /// reference string is generated once and shared between the two runs.
 pub fn run_pair(cfg: &ExperimentConfig) -> RunPair {
-    let mut base_cfg = cfg.clone();
-    base_cfg.prefetch = PrefetchConfig::disabled();
-    let mut pf_cfg = cfg.clone();
-    if !pf_cfg.prefetch.enabled {
-        pf_cfg.prefetch = PrefetchConfig::paper();
-    }
+    let [base_cfg, pf_cfg] = pair_configs(cfg);
     // The workload depends only on seed/pattern/geometry, which the two
     // halves share.
     let workload = std::sync::Arc::new(crate::world::generate_workload(cfg));
@@ -324,6 +433,17 @@ pub fn run_pair(cfg: &ExperimentConfig) -> RunPair {
         base,
         prefetch,
     }
+}
+
+/// The base and prefetch halves of `cfg`: prefetching off, and on (with
+/// the paper's settings unless `cfg` already enables it).
+pub fn pair_configs(cfg: &ExperimentConfig) -> [ExperimentConfig; 2] {
+    let (mut base, mut pf) = (cfg.clone(), cfg.clone());
+    base.prefetch = PrefetchConfig::disabled();
+    if !pf.prefetch.enabled {
+        pf.prefetch = PrefetchConfig::paper();
+    }
+    [base, pf]
 }
 
 /// Enumerate the paper's experiment grid (§IV-D): six patterns × four
@@ -484,6 +604,49 @@ mod tests {
         let at_barrier = gauge("procs at barrier");
         assert!(at_barrier.max() > 0.0, "processes met at barriers");
         assert!(at_barrier.max() <= f64::from(cfg.procs));
+    }
+
+    #[test]
+    fn checked_run_measures_exactly_what_run_experiment_does() {
+        let mut cfg = small(AccessPattern::GlobalWholeFile, SyncStyle::BlocksPerProc(10));
+        cfg.prefetch = PrefetchConfig::paper();
+        let (plan, crashes) =
+            crate::faults::parse_all_fault_specs("straggler:0:x8,crash:1@60ms:rejoin@300ms")
+                .unwrap();
+        cfg.faults.plan = plan;
+        cfg.faults.crashes = crashes;
+        cfg.faults.replicas = 1;
+        cfg.faults.retry.timeout = Some(SimDuration::from_millis(150));
+        cfg.faults.hedge.delay = Some(SimDuration::from_millis(60));
+        let checked = run_checked(&cfg);
+        let v = &checked.verdict;
+        assert!(v.violation.is_none(), "{:?}", v.violation);
+        assert_eq!((v.runs, v.expected), (1, 200));
+        assert!(v.events > 0);
+        let Ok(m) = &checked.result else {
+            panic!("a clean run yields its metrics")
+        };
+        assert!(m.tail.hedges_launched > 0, "the run hedged");
+        assert_eq!((m.crash.crashes, m.crash.rejoins), (1, 1));
+        assert_eq!(
+            format!("{m:?}"),
+            format!("{:?}", run_experiment(&cfg)),
+            "checking and recording are inert"
+        );
+    }
+
+    #[test]
+    fn exhausted_budget_is_a_violation_not_a_panic() {
+        let cfg = small(AccessPattern::LocalFixedPortions, SyncStyle::None);
+        let checked = run_checked_within(&cfg, 100);
+        let v = &checked.verdict;
+        assert_eq!(v.events, 100);
+        let msg = v.violation.as_deref().expect("budget exhaustion is caught");
+        assert!(msg.contains("100-event budget"), "{msg}");
+        let Err(flight) = &checked.result else {
+            panic!("a failed run yields its recording")
+        };
+        assert!(!flight.events.is_empty());
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod world;
 pub use admission::AdmissionConfig;
 pub use config::{ConfigError, CostModel, ExperimentConfig, PolicyKind, PrefetchConfig};
 pub use experiment::{
-    paper_grid, run_experiment, run_experiment_observed, run_experiment_traced, run_pair,
-    run_pairs_parallel, run_replicas_forked, RunHandle,
+    paper_grid, run_checked, run_experiment, run_experiment_observed, run_experiment_traced,
+    run_pair, run_pairs_parallel, run_replicas_forked, Checked, RunHandle, Verdict,
 };
 pub use faults::{
     parse_fault_spec, parse_fault_specs, DegradeConfig, FaultConfig, FaultSpecError, RetryPolicy,

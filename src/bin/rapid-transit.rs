@@ -12,6 +12,7 @@
 //! rapid-transit crashes             run the node-crash sweep
 //! rapid-transit soak                run the overload/chaos soak
 //! rapid-transit integrity           run the data-integrity sweep
+//! rapid-transit tail                run the tail-tolerance sweep
 //! ```
 //!
 //! Run options:
@@ -26,6 +27,8 @@
 
 use std::process::ExitCode;
 
+use rapid_transit::bench::sweep::{Sweep, SWEEPS};
+use rapid_transit::bench::FlightDump;
 use rapid_transit::cli::{build_config, flag_value, has_flag, parse_pattern};
 use rapid_transit::core::experiment::{
     paper_grid, run_experiment, run_experiment_observed, run_experiment_traced, run_pair,
@@ -52,16 +55,14 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(rest),
         "trace-check" => cmd_trace_check(rest),
         "perf" => cmd_perf(rest),
-        "faults" => cmd_faults(rest),
-        "crashes" => cmd_crashes(rest),
-        "soak" => cmd_soak(rest),
-        "integrity" => cmd_integrity(rest),
-        "tail" => cmd_tail(rest),
         "help" | "--help" | "-h" => {
             println!("{}", USAGE);
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => match SWEEPS.iter().find(|s| s.name == other) {
+            Some(sweep) => cmd_sweep(sweep, rest),
+            None => Err(format!("unknown command {other:?}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -561,193 +562,74 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_faults(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::faults;
+/// Run one robustness sweep (or with `--check`, validate its report).
+/// Only `--out FILE`, `--smoke` and `--check` are accepted, each once;
+/// anything else fails before a sweep runs or a file is touched.
+fn cmd_sweep(sweep: &Sweep, args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::json::Json;
-    use rapid_transit::cli::flag_value;
 
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_faults.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        faults::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid faults report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running fault sweep ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = faults::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<16} {:>10} {:>10} {:>8} {:>8} {:>9} {:>10}",
-        "scenario", "base ms", "pf ms", "errors", "retries", "timeouts", "degr ms"
-    );
-    for (name, pair) in &results {
-        let f = &pair.prefetch.faults;
-        println!(
-            "{:<16} {:>10.0} {:>10.0} {:>8} {:>8} {:>9} {:>10.0}",
-            name,
-            pair.base.total_time.as_millis_f64(),
-            pair.prefetch.total_time.as_millis_f64(),
-            f.io_errors,
-            f.retries,
-            f.timeouts,
-            f.degraded_time.as_millis_f64(),
-        );
-    }
-    let doc = faults::report(&results, smoke);
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_crashes(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::crashes;
-    use rapid_transit::bench::json::Json;
-    use rapid_transit::cli::flag_value;
-
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_crash.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        crashes::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid crash report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running crash sweep ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = crashes::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<14} {:>10} {:>10} {:>7} {:>7} {:>5} {:>9} {:>8} {:>8}",
-        "scenario",
-        "base ms",
-        "pf ms",
-        "crashes",
-        "rejoins",
-        "lost",
-        "reclaimed",
-        "orphaned",
-        "failover"
-    );
-    let mut violation = None;
-    for r in &results {
-        let c = &r.pair.prefetch.crash;
-        println!(
-            "{:<14} {:>10.0} {:>10.0} {:>7} {:>7} {:>5} {:>9} {:>8} {:>8}",
-            r.name,
-            r.pair.base.total_time.as_millis_f64(),
-            r.pair.prefetch.total_time.as_millis_f64(),
-            c.crashes,
-            c.rejoins,
-            c.lost_reads,
-            c.reclaimed_locks + c.reclaimed_pins + c.reclaimed_waiters,
-            c.orphaned_ios,
-            c.redistributed_prefetches,
-        );
-        if let Some((half, v)) = r.violation() {
-            violation = Some(format!("{} ({half}): {v}", r.name));
-            write_flight_dump(&out, r.flight());
+    let (mut out, mut smoke, mut check) = (None, false, false);
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let repeated = match flag.as_str() {
+            "--out" => {
+                let file = args.next().filter(|f| !f.starts_with("--"));
+                out.replace(file.ok_or("--out requires a file")?).is_some()
+            }
+            "--smoke" => std::mem::replace(&mut smoke, true),
+            "--check" => std::mem::replace(&mut check, true),
+            _ => {
+                return Err(format!(
+                    "unknown flag {flag:?} (want --out FILE, --smoke, --check)"
+                ))
+            }
+        };
+        if repeated {
+            return Err(format!("{flag} given twice"));
         }
     }
-    if let Some(v) = violation {
-        return Err(format!("crash invariant violation — {v}"));
-    }
-    let doc = crashes::report(&results, smoke);
-    crashes::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_tail(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::json::Json;
-    use rapid_transit::bench::tail;
-    use rapid_transit::cli::flag_value;
-
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_tail.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
+    let out = out.map_or(sweep.out, String::as_str);
+    if check {
+        let text = std::fs::read_to_string(out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        tail::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid tail report, {n} scenarios");
+        sweep.validate(&doc).map_err(|e| format!("{out}: {e}"))?;
+        println!("{out}: valid {} report", sweep.name);
         return Ok(());
     }
-
     println!(
-        "running tail sweep ({} ...)",
+        "running {} sweep ({} ...)",
+        sweep.name,
         if smoke { "smoke" } else { "full" }
     );
-    let results = tail::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<26} {:>9} {:>9} {:>7} {:>5} {:>7} {:>7} {:>6} {:>6}",
-        "scenario", "total ms", "p99 ms", "hedges", "wins", "cancels", "denied", "opens", "dups"
-    );
-    let mut violation = None;
-    for r in &results {
-        let t = &r.metrics.tail;
-        println!(
-            "{:<26} {:>9.0} {:>9.2} {:>7} {:>5} {:>7} {:>7} {:>6} {:>6}",
-            r.name,
-            r.metrics.total_time.as_millis_f64(),
-            r.metrics.read_quantile_ms(0.99),
-            t.hedges_launched,
-            t.hedge_wins,
-            t.hedge_cancels,
-            t.retries_denied,
-            t.breaker_opens,
-            t.duplicate_deliveries,
-        );
-        if let Some(v) = &r.verdict.violation {
-            violation = Some(format!("{}: {v}", r.name));
-            write_flight_dump(&out, r.verdict.flight.as_ref());
+    let rows = sweep.run(smoke).map_err(|e| e.to_string())?;
+    for row in &rows {
+        if let Some((v, flight)) = row.violation() {
+            if let Some(data) = flight {
+                write_flight_dump(out, &FlightDump::of(data));
+            }
+            return Err(format!("{}: {v}", row.scenario.name));
         }
+        let keys = sweep.shape.keys().iter().enumerate();
+        let total = |(i, k)| format!("{k} {:.0} ms", row.metrics(i).total_time.as_millis_f64());
+        println!(
+            "{:<28} {}",
+            row.scenario.name,
+            keys.map(total).collect::<Vec<_>>().join("  ")
+        );
     }
-    if let Some(v) = violation {
-        return Err(format!("tail invariant violation — {v}"));
-    }
-    let doc = tail::report(&results, smoke);
-    tail::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    let doc = sweep.report(&rows, smoke);
+    sweep
+        .validate(&doc)
+        .map_err(|e| format!("refusing to write {out}: {e}"))?;
+    std::fs::write(out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
 }
 
 /// Write a flight-recorder dump next to the report (`<out>.flight.json`)
-/// and print its human-readable tail to stderr, so a failing soak or
-/// integrity run leaves a postmortem behind.
-fn write_flight_dump(out: &str, flight: Option<&rapid_transit::bench::FlightDump>) {
-    let Some(dump) = flight else {
-        return;
-    };
+/// and print its human-readable tail to stderr, so a failing sweep
+/// leaves a postmortem behind.
+fn write_flight_dump(out: &str, dump: &FlightDump) {
     let path = format!("{out}.flight.json");
     match std::fs::write(&path, &dump.perfetto) {
         Ok(()) => eprintln!("flight recording written to {path}"),
@@ -755,126 +637,6 @@ fn write_flight_dump(out: &str, flight: Option<&rapid_transit::bench::FlightDump
     }
     eprintln!("--- flight recorder tail ---");
     eprint!("{}", dump.tail);
-}
-
-fn cmd_soak(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::json::Json;
-    use rapid_transit::bench::soak;
-    use rapid_transit::cli::flag_value;
-
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_overload.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        soak::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid overload report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running overload soak ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = soak::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<16} {:>10} {:>10} {:>6} {:>9} {:>7} {:>10} {:>6}",
-        "scenario", "base ms", "pf ms", "shed", "throttled", "parked", "soak ev", "runs"
-    );
-    let mut violation = None;
-    for (name, pair, soak) in &results {
-        let o = &pair.prefetch.overload;
-        println!(
-            "{:<16} {:>10.0} {:>10.0} {:>6} {:>9} {:>7} {:>10} {:>6}",
-            name,
-            pair.base.total_time.as_millis_f64(),
-            pair.prefetch.total_time.as_millis_f64(),
-            o.prefetches_shed,
-            o.prefetches_throttled,
-            o.demand_parked,
-            soak.events,
-            soak.runs,
-        );
-        if let Some(v) = &soak.violation {
-            violation = Some(format!("{name}: {v}"));
-            write_flight_dump(&out, soak.flight.as_ref());
-        }
-    }
-    if let Some(v) = violation {
-        return Err(format!("soak invariant violation — {v}"));
-    }
-    let doc = soak::report(&results, smoke);
-    soak::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_integrity(args: &[String]) -> Result<(), String> {
-    use rapid_transit::bench::integrity;
-    use rapid_transit::bench::json::Json;
-    use rapid_transit::cli::flag_value;
-
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_integrity.json")
-        .to_string();
-    let smoke = has_flag(args, "--smoke");
-
-    if has_flag(args, "--check") {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
-        integrity::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
-        let n = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        println!("{out}: valid integrity report, {n} scenarios");
-        return Ok(());
-    }
-
-    println!(
-        "running integrity sweep ({} ...)",
-        if smoke { "smoke" } else { "full" }
-    );
-    let results = integrity::run_sweep(smoke).map_err(|e| e.to_string())?;
-    println!(
-        "{:<18} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-        "scenario", "total ms", "corrupt", "caught", "repairs", "scrubbed", "poisoned", "quarant"
-    );
-    let mut violation = None;
-    for (s, outcome) in &results {
-        let ig = &outcome.metrics.integrity;
-        println!(
-            "{:<18} {:>10.0} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-            s.name,
-            outcome.metrics.total_time.as_millis_f64(),
-            ig.corruptions,
-            ig.detections + ig.scrub_detections,
-            ig.repairs,
-            ig.scrubbed,
-            ig.poisoned_blocks,
-            ig.quarantines,
-        );
-        if let Some(v) = &outcome.violation {
-            violation = Some(format!("{}: {v}", s.name));
-            write_flight_dump(&out, outcome.flight.as_ref());
-        }
-    }
-    if let Some(v) = violation {
-        return Err(format!("integrity invariant violation — {v}"));
-    }
-    let doc = integrity::report(&results, smoke);
-    integrity::validate_report(&doc).map_err(|e| format!("refusing to write {out}: {e}"))?;
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {

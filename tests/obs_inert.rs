@@ -155,7 +155,7 @@ proptest! {
 /// tail is non-empty.
 #[test]
 fn forced_violation_yields_valid_flight_dump() {
-    let cfg = soak::scenarios()
+    let cfg = (soak::SWEEP.scenarios)(false)
         .unwrap()
         .into_iter()
         .next()
