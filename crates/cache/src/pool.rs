@@ -193,6 +193,12 @@ pub struct BufferPool {
     /// All demand buffers in node order — the GlobalLru candidate list,
     /// flattened once at construction (partitions never change size).
     all_demand: Vec<BufferId>,
+    /// Per node: how many of its prefetch buffers the replacement policy
+    /// may reclaim (free, or ready and evictable under this pool's
+    /// configuration). A node with zero yields no prefetch victim, so the
+    /// steal search skips it without scanning its partition. Kept in step
+    /// by [`BufferPool::mutate`] at every state, pin, and use change.
+    reclaimable: Vec<u16>,
     /// Count of unused-prefetch buffers (pending-prefetch or ready-unused).
     prefetched_unused: u32,
     /// Monotonic count of unused-prefetch evictions. An unused prefetch is
@@ -238,6 +244,8 @@ impl BufferPool {
             demand_sets,
             prefetch_sets,
             all_demand,
+            // Every buffer starts free, hence reclaimable.
+            reclaimable: vec![config.prefetch_per_proc; config.procs as usize],
             prefetched_unused: 0,
             unused_evictions: 0,
             stats: CacheStats::default(),
@@ -267,6 +275,39 @@ impl BufferPool {
     #[inline]
     fn index_remove(&mut self, block: BlockId) {
         self.index[block.index()] = NO_BUFFER;
+    }
+
+    /// Is `id` a prefetch buffer the replacement policy may reclaim — one
+    /// [`BufferPool::reclaimable`] counts?
+    #[inline]
+    fn is_reclaimable_prefetch(&self, id: BufferId) -> bool {
+        self.buffers[id.index()].class == BufferClass::Prefetch && self.can_evict(id)
+    }
+
+    /// Recount `node`'s reclaimable prefetch buffers from scratch.
+    fn count_reclaimable(&self, node: usize) -> usize {
+        self.prefetch_sets[node]
+            .iter()
+            .filter(|&&id| self.is_reclaimable_prefetch(id))
+            .count()
+    }
+
+    /// Apply `f` to buffer `id`, keeping its node's reclaimable-prefetch
+    /// count in step. Every change to a buffer's state, pins, or `used`
+    /// flag goes through here; debug builds recount the node after each.
+    #[inline]
+    fn mutate<R>(&mut self, id: BufferId, f: impl FnOnce(&mut Buffer) -> R) -> R {
+        let before = self.is_reclaimable_prefetch(id);
+        let out = f(&mut self.buffers[id.index()]);
+        let after = self.is_reclaimable_prefetch(id);
+        let home = self.buffers[id.index()].home.index();
+        self.reclaimable[home] = self.reclaimable[home] + u16::from(after) - u16::from(before);
+        debug_assert_eq!(
+            usize::from(self.reclaimable[home]),
+            self.count_reclaimable(home),
+            "node {home} reclaimable-prefetch count drift"
+        );
+        out
     }
 
     /// Run the full invariant sweep in debug builds; free in release.
@@ -365,20 +406,22 @@ impl BufferPool {
     /// copy the same block concurrently).
     #[inline]
     pub fn pin(&mut self, buf: BufferId) {
-        let b = &mut self.buffers[buf.index()];
-        debug_assert!(
-            matches!(b.state, BufState::Ready { .. }),
-            "pin on a non-ready buffer"
-        );
-        b.pins += 1;
+        self.mutate(buf, |b| {
+            debug_assert!(
+                matches!(b.state, BufState::Ready { .. }),
+                "pin on a non-ready buffer"
+            );
+            b.pins += 1;
+        });
     }
 
     /// Release one pin on `buf`.
     #[inline]
     pub fn unpin(&mut self, buf: BufferId) {
-        let b = &mut self.buffers[buf.index()];
-        assert!(b.pins > 0, "unpin without a matching pin");
-        b.pins -= 1;
+        self.mutate(buf, |b| {
+            assert!(b.pins > 0, "unpin without a matching pin");
+            b.pins -= 1;
+        });
     }
 
     /// Record that `proc` consumed the data in `buf` at `now`. Marks the
@@ -386,22 +429,23 @@ impl BufferPool {
     /// refreshes its recency.
     #[inline]
     pub fn record_use(&mut self, buf: BufferId, _proc: ProcId, now: SimTime) {
-        let b = &mut self.buffers[buf.index()];
-        match &mut b.state {
+        let first_use_of_prefetch = self.mutate(buf, |b| match &mut b.state {
             BufState::Ready {
                 used,
                 last_use,
                 prefetched,
                 ..
             } => {
-                if *prefetched && !*used {
-                    debug_assert!(self.prefetched_unused > 0);
-                    self.prefetched_unused -= 1;
-                }
+                let first = *prefetched && !*used;
                 *used = true;
                 *last_use = now;
+                first
             }
             other => panic!("record_use on non-ready buffer: {other:?}"),
+        });
+        if first_use_of_prefetch {
+            debug_assert!(self.prefetched_unused > 0);
+            self.prefetched_unused -= 1;
         }
     }
 
@@ -428,11 +472,13 @@ impl BufferPool {
             Replacement::GlobalLru => self.pick_victim(&self.all_demand),
         }?;
         self.evict(victim);
-        self.buffers[victim.index()].state = BufState::Pending {
-            block,
-            ready_at,
-            kind: FetchKind::Demand,
-        };
+        self.mutate(victim, |b| {
+            b.state = BufState::Pending {
+                block,
+                ready_at,
+                kind: FetchKind::Demand,
+            }
+        });
         self.index_insert(block, victim);
         self.stats.demand_fetches += 1;
         self.debug_check();
@@ -463,18 +509,20 @@ impl BufferPool {
             self.stats.blocked_global_cap += 1;
             return Err(PrefetchBlocked::GlobalCap);
         }
-        // Local partition first, then the other nodes' in index order.
-        let victim = self
-            .pick_victim(&self.prefetch_sets[proc.index()])
-            .or_else(|| {
-                self.prefetch_sets
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != proc.index())
-                    .find_map(|(_, set)| self.pick_victim(set))
-            });
-        match victim {
-            Some(victim) => {
+        // Local partition first, then the other nodes' in index order. A
+        // node with no reclaimable prefetch buffer has no victim, so only
+        // the first node with one is scanned.
+        let local = proc.index();
+        let node = if self.reclaimable[local] > 0 {
+            Some(local)
+        } else {
+            self.reclaimable.iter().position(|&n| n > 0)
+        };
+        match node {
+            Some(node) => {
+                let victim = self
+                    .pick_victim(&self.prefetch_sets[node])
+                    .expect("a node with a reclaimable prefetch buffer yields a victim");
                 self.evict(victim);
                 Ok(victim)
             }
@@ -490,11 +538,13 @@ impl BufferPool {
     pub fn commit_prefetch(&mut self, buf: BufferId, block: BlockId, ready_at: SimTime) {
         debug_assert_eq!(self.buffers[buf.index()].state, BufState::Free);
         debug_assert!(!self.contains(block));
-        self.buffers[buf.index()].state = BufState::Pending {
-            block,
-            ready_at,
-            kind: FetchKind::Prefetch,
-        };
+        self.mutate(buf, |b| {
+            b.state = BufState::Pending {
+                block,
+                ready_at,
+                kind: FetchKind::Prefetch,
+            }
+        });
         self.index_insert(block, buf);
         self.prefetched_unused += 1;
         self.stats.prefetches += 1;
@@ -504,8 +554,7 @@ impl BufferPool {
     /// Mark the I/O filling `buf` complete at `now`. The buffer becomes
     /// ready; unready-hit waiters (tracked by the caller) may now be woken.
     pub fn complete_io(&mut self, buf: BufferId, now: SimTime) {
-        let b = &mut self.buffers[buf.index()];
-        match b.state {
+        self.mutate(buf, |b| match b.state {
             BufState::Pending { block, kind, .. } => {
                 b.state = BufState::Ready {
                     block,
@@ -516,7 +565,7 @@ impl BufferPool {
                 };
             }
             other => panic!("complete_io on non-pending buffer: {other:?}"),
-        }
+        });
     }
 
     /// Abandon an in-flight fill: the I/O for this buffer failed and will
@@ -540,7 +589,7 @@ impl BufferPool {
         }
         let block = b.block().expect("pending buffer always holds a block");
         self.index_remove(block);
-        self.buffers[buf.index()].state = BufState::Free;
+        self.mutate(buf, |b| b.state = BufState::Free);
         self.debug_check();
     }
 
@@ -588,7 +637,7 @@ impl BufferPool {
             }
             self.index_remove(block);
         }
-        self.buffers[buf.index()].state = BufState::Free;
+        self.mutate(buf, |b| b.state = BufState::Free);
     }
 
     /// Drop every ready, unpinned buffer of `node`'s demand (RU) set: the
@@ -689,7 +738,16 @@ impl BufferPool {
                 );
             }
         }
-        // 5. Partition sizes never change.
+        // 5. Each node's reclaimable-prefetch count matches a recount of
+        //    its partition.
+        for (p, &n) in self.reclaimable.iter().enumerate() {
+            assert_eq!(
+                self.count_reclaimable(p),
+                usize::from(n),
+                "node {p} reclaimable-prefetch count drift"
+            );
+        }
+        // 6. Partition sizes never change.
         for p in 0..self.config.procs as usize {
             assert_eq!(
                 self.demand_sets[p].len(),

@@ -319,7 +319,7 @@ impl World {
         let waiters = &self.waiters;
         let Some((file, block, _owner)) = self
             .fs
-            .cancel_queued_prefetch(disk, now, |_, b| waiters.has_waiters(b))
+            .cancel_queued_prefetch(disk, |_, b| waiters.has_waiters(b))
         else {
             return false;
         };
@@ -1144,12 +1144,7 @@ impl World {
         }
         let loser = if won { primary } else { hedged };
         if let Some(ld) = self.fs.placement_disk(self.file, block, loser) {
-            if ld != disk
-                && self
-                    .fs
-                    .cancel_queued_demand(ld, now, self.file, block)
-                    .is_some()
-            {
+            if ld != disk && self.fs.cancel_queued_demand(ld, self.file, block).is_some() {
                 self.outstanding_io -= 1;
                 self.rec.hedge_cancels += 1;
                 self.obs_instant(

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use rt_sim::{Rng, SimDuration, SimTime, Tally, TimeWeighted};
+use rt_sim::{Rng, SimDuration, SimTime, Tally};
 
 use crate::fault::{DeviceFaults, DiskFault};
 use crate::request::{DiskRequest, FetchKind};
@@ -81,11 +81,8 @@ pub struct Disk {
     busy: SimDuration,
     completed: u64,
     errors: u64,
-    demand_response: Tally,
-    prefetch_response: Tally,
     response: Tally,
     queue_delay: Tally,
-    queue_len: TimeWeighted,
 }
 
 impl Disk {
@@ -104,11 +101,8 @@ impl Disk {
             busy: SimDuration::ZERO,
             completed: 0,
             errors: 0,
-            demand_response: Tally::new(),
-            prefetch_response: Tally::new(),
             response: Tally::new(),
             queue_delay: Tally::new(),
-            queue_len: TimeWeighted::new(SimTime::ZERO, 0.0),
         }
     }
 
@@ -130,29 +124,18 @@ impl Disk {
                     });
                 }
             }
-            self.queue_len.add(req.submitted, 1.0);
             self.queue.push_back(req);
             self.max_depth = self.max_depth.max(self.queue.len());
             Ok(None)
         }
     }
 
-    /// Remove the first queued request matching `pred` (in queue order),
-    /// keeping the time-weighted queue-length accounting consistent.
+    /// Remove the first queued request matching `pred` (in queue order).
     /// The in-service request is never cancelled. Returns the removed
     /// request, if any.
-    pub fn cancel_queued(
-        &mut self,
-        now: SimTime,
-        pred: impl Fn(&DiskRequest) -> bool,
-    ) -> Option<DiskRequest> {
+    pub fn cancel_queued(&mut self, pred: impl Fn(&DiskRequest) -> bool) -> Option<DiskRequest> {
         let pos = self.queue.iter().position(pred)?;
-        let req = self
-            .queue
-            .remove(pos)
-            .expect("cancel position within queue bounds");
-        self.queue_len.add(now, -1.0);
-        Some(req)
+        self.queue.remove(pos)
     }
 
     /// The in-flight request finished at `now`. Returns the finished
@@ -166,18 +149,9 @@ impl Disk {
         if done.status.is_err() {
             self.errors += 1;
         }
-        let response = now.saturating_since(done.req.submitted);
-        self.response.record(response);
-        match done.req.kind {
-            FetchKind::Demand => self.demand_response.record(response),
-            FetchKind::Prefetch => self.prefetch_response.record(response),
-            // Scrub reads and repair rewrites are maintenance traffic;
-            // they occupy the device but stay out of the paper's
-            // demand/prefetch response split.
-            FetchKind::Scrub | FetchKind::Repair => {}
-        }
+        self.response
+            .record(now.saturating_since(done.req.submitted));
         let next = self.dequeue().map(|req| {
-            self.queue_len.add(now, -1.0);
             self.queue_delay.record(now.saturating_since(req.submitted));
             let completion = self.start(req, now);
             (req, completion)
@@ -288,16 +262,6 @@ impl Disk {
         &self.response
     }
 
-    /// Response-time distribution of demand fetches only.
-    pub fn demand_response(&self) -> &Tally {
-        &self.demand_response
-    }
-
-    /// Response-time distribution of prefetches only.
-    pub fn prefetch_response(&self) -> &Tally {
-        &self.prefetch_response
-    }
-
     /// Distribution of time spent queued before service began (queued
     /// requests only; immediate starts contribute nothing).
     pub fn queue_delay(&self) -> &Tally {
@@ -317,11 +281,6 @@ impl Disk {
     /// Aggregate busy time (sum of service times started so far).
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Time-averaged queue length over `[0, now]`.
-    pub fn avg_queue_len(&self, now: SimTime) -> f64 {
-        self.queue_len.average(now)
     }
 }
 
@@ -405,18 +364,6 @@ mod tests {
         d.submit(req(2, FetchKind::Demand, 2)).unwrap();
         let (_, next) = d.complete(t(30));
         assert_eq!(next.unwrap().0.block, BlockId(1));
-    }
-
-    #[test]
-    fn kinds_tracked_separately() {
-        let mut d = disk(Discipline::Fifo);
-        d.submit(req(0, FetchKind::Demand, 0)).unwrap();
-        d.complete(t(30));
-        d.submit(req(100, FetchKind::Prefetch, 1)).unwrap();
-        d.complete(t(130));
-        assert_eq!(d.demand_response().count(), 1);
-        assert_eq!(d.prefetch_response().count(), 1);
-        assert!((d.demand_response().mean_millis() - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -506,16 +453,12 @@ mod tests {
         d.submit(req(1, FetchKind::Prefetch, 1)).unwrap();
         d.submit(req(2, FetchKind::Prefetch, 2)).unwrap();
         assert_eq!(d.queued_of_kind(FetchKind::Prefetch), 2);
-        let cancelled = d
-            .cancel_queued(t(5), |r| r.kind == FetchKind::Prefetch)
-            .unwrap();
+        let cancelled = d.cancel_queued(|r| r.kind == FetchKind::Prefetch).unwrap();
         assert_eq!(cancelled.block, BlockId(1));
         assert_eq!(d.queued(), 1);
         assert_eq!(d.queued_of_kind(FetchKind::Prefetch), 1);
         // The in-service demand request is never a cancellation target.
-        assert!(d
-            .cancel_queued(t(5), |r| r.kind == FetchKind::Demand)
-            .is_none());
+        assert!(d.cancel_queued(|r| r.kind == FetchKind::Demand).is_none());
         assert!(d.busy_now());
         // Queue accounting stays consistent: the remaining prefetch drains.
         let (_, next) = d.complete(t(30));

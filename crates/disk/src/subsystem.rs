@@ -146,10 +146,9 @@ impl DiskSubsystem {
     pub fn cancel_queued(
         &mut self,
         disk: DiskId,
-        now: SimTime,
         pred: impl Fn(&DiskRequest) -> bool,
     ) -> Option<DiskRequest> {
-        self.disks[disk.index()].cancel_queued(now, pred)
+        self.disks[disk.index()].cancel_queued(pred)
     }
 
     /// Bound every device's queue to `limit` waiting requests (`None`
@@ -382,7 +381,7 @@ mod tests {
             .is_some());
         // Cancelling the queued prefetch frees the slot.
         let cancelled = s
-            .cancel_queued(DiskId(0), SimTime::ZERO, |r| r.kind == FetchKind::Prefetch)
+            .cancel_queued(DiskId(0), |r| r.kind == FetchKind::Prefetch)
             .unwrap();
         assert_eq!(cancelled.block, BlockId(2));
         assert!(s

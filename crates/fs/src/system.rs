@@ -308,7 +308,6 @@ impl FileSystem {
     pub fn cancel_queued_prefetch(
         &mut self,
         disk: DiskId,
-        now: SimTime,
         keep: impl Fn(FileId, BlockId) -> bool,
     ) -> Option<(FileId, BlockId, ProcId)> {
         let bases = &self.bases;
@@ -320,7 +319,7 @@ impl FileSystem {
             let (base, file) = bases[pos];
             (file, BlockId(global.0 - base))
         };
-        let req = self.disks.cancel_queued(disk, now, |r| {
+        let req = self.disks.cancel_queued(disk, |r| {
             if r.kind != FetchKind::Prefetch {
                 return false;
             }
@@ -338,7 +337,6 @@ impl FileSystem {
     pub fn cancel_queued_demand(
         &mut self,
         disk: DiskId,
-        now: SimTime,
         file: FileId,
         block: BlockId,
     ) -> Option<ProcId> {
@@ -351,7 +349,7 @@ impl FileSystem {
             let (base, f) = bases[pos];
             (f, BlockId(global.0 - base))
         };
-        let req = self.disks.cancel_queued(disk, now, |r| {
+        let req = self.disks.cancel_queued(disk, |r| {
             r.kind == FetchKind::Demand && attribute(r.block) == (file, block)
         })?;
         Some(req.initiator)
@@ -629,15 +627,11 @@ mod tests {
         // A protected prefetch is spared; an unprotected one is shed,
         // attributed back to the file, and makes room for the demand read.
         assert!(f
-            .cancel_queued_prefetch(DiskId(0), t(0), |_, b| b == BlockId(1))
+            .cancel_queued_prefetch(DiskId(0), |_, b| b == BlockId(1))
             .is_none());
-        let (file, block, initiator) = f
-            .cancel_queued_prefetch(DiskId(0), t(0), |_, _| false)
-            .unwrap();
+        let (file, block, initiator) = f.cancel_queued_prefetch(DiskId(0), |_, _| false).unwrap();
         assert_eq!((file, block, initiator), (id, BlockId(1), ProcId(0)));
-        assert!(f
-            .cancel_queued_prefetch(DiskId(0), t(0), |_, _| false)
-            .is_none());
+        assert!(f.cancel_queued_prefetch(DiskId(0), |_, _| false).is_none());
         assert!(f
             .read(t(0), id, BlockId(2), FetchKind::Demand, ProcId(1))
             .unwrap()

@@ -12,6 +12,16 @@
 //! the slot is recycled (generation bumped) only when the heap entry drains
 //! past it, so a stale id can never cancel a later event that reused the
 //! slot.
+//!
+//! A model almost always schedules from inside the handler of the event
+//! just popped, so [`EventQueue::pop`] leaves the popped root in the heap,
+//! marked *taken*, and the next [`EventQueue::schedule`] overwrites it in
+//! place with one sift-down instead of a remove (sift to the bottom and
+//! back up) followed by an insert (sift up). A `pop` with nothing scheduled
+//! in between removes the taken root first. The taken root's slot is
+//! already recycled and not live, so `peek_time` skips it like any
+//! cancelled entry, and a clone carries it along and removes it on its own
+//! next `pop` or `schedule`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -79,6 +89,10 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     next_seq: u32,
     live: usize,
+    /// The heap root is the event `pop` last returned: its slot is
+    /// recycled, and the next `schedule` overwrites it or the next `pop`
+    /// removes it.
+    taken: bool,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -96,6 +110,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             next_seq: 0,
             live: 0,
+            taken: false,
         }
     }
 
@@ -125,7 +140,14 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        self.heap.push(Entry { time, seq, slot });
+        let entry = Entry { time, seq, slot };
+        if std::mem::take(&mut self.taken) {
+            // Replace the popped root in place: the `PeekMut` guard sifts
+            // the new entry down when it drops.
+            *self.heap.peek_mut().expect("a taken root is in the heap") = entry;
+        } else {
+            self.heap.push(entry);
+        }
         self.live += 1;
         EventId {
             slot,
@@ -149,20 +171,27 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest live event, as `(time, payload)`.
+    /// The returned event's heap entry stays in place as the taken root
+    /// (see the module docs).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
+        if std::mem::take(&mut self.taken) {
+            self.heap.pop();
+        }
+        while let Some(&entry) = self.heap.peek() {
             let slot = &mut self.slots[entry.slot as usize];
             let live = slot.live;
             let payload = slot.payload.take().expect("heap entry with empty slot");
-            // The slot is recycled only here — after its heap entry drained
-            // — so every pending heap entry points at its own occupancy.
+            // The slot is recycled only here — once its heap entry is the
+            // root — so every other heap entry points at its own occupancy.
             slot.live = false;
             slot.gen = slot.gen.wrapping_add(1);
             self.free.push(entry.slot);
             if live {
                 self.live -= 1;
+                self.taken = true;
                 return Some((entry.time, payload));
             }
+            self.heap.pop();
         }
         None
     }
@@ -173,8 +202,10 @@ impl<E> EventQueue<E> {
     /// Linear in the pending-entry count — fine for its diagnostic
     /// callers, wrong for the hot loop (which pops instead of peeking).
     pub fn peek_time(&self) -> Option<SimTime> {
-        // A slot recycles only when its heap entry drains, so each entry's
-        // slot `live` flag describes that entry, not a later occupant.
+        // A slot recycles only when its heap entry reaches the root, so
+        // each entry's slot `live` flag describes that entry, not a later
+        // occupant; a taken root's recycled slot is not live until the
+        // `schedule` that overwrites the root reuses it.
         self.heap
             .iter()
             .filter(|e| self.slots[e.slot as usize].live)
@@ -307,6 +338,24 @@ mod tests {
         assert_eq!(q.pop(), Some((t(6), 6)));
         assert_eq!(q.pop(), Some((t(7), 7)));
         assert_eq!(q.pop(), Some((t(10), 10)));
+    }
+
+    #[test]
+    fn taken_root_is_replaced_or_removed() {
+        let mut q = EventQueue::new();
+        q.schedule(t(1), 1);
+        q.schedule(t(5), 5);
+        assert_eq!(q.pop(), Some((t(1), 1)));
+        assert_eq!(q.heap.len(), 2, "the popped root stays until replaced");
+        assert_eq!(q.peek_time(), Some(t(5)), "peek skips the taken root");
+        let mut fork = q.clone();
+        q.schedule(t(1), 11); // ties with the popped instant
+        assert_eq!(q.heap.len(), 2, "schedule overwrote the taken root");
+        assert_eq!(q.pop(), Some((t(1), 11)));
+        assert_eq!(q.pop(), Some((t(5), 5)));
+        assert_eq!(fork.pop(), Some((t(5), 5)), "a fork removes the taken root");
+        assert_eq!(fork.pop(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

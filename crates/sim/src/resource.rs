@@ -144,7 +144,6 @@ pub struct SimLock {
     free_at: SimTime,
     acquisitions: u64,
     wait: Tally,
-    hold: Tally,
 }
 
 impl SimLock {
@@ -154,7 +153,6 @@ impl SimLock {
             free_at: SimTime::ZERO,
             acquisitions: 0,
             wait: Tally::new(),
-            hold: Tally::new(),
         }
     }
 
@@ -166,7 +164,6 @@ impl SimLock {
         self.free_at = grant + hold;
         self.acquisitions += 1;
         self.wait.record(grant.saturating_since(now));
-        self.hold.record(hold);
         grant
     }
 
@@ -184,11 +181,6 @@ impl SimLock {
     /// Distribution of lock waiting times (contention).
     pub fn wait(&self) -> &Tally {
         &self.wait
-    }
-
-    /// Distribution of hold times.
-    pub fn hold(&self) -> &Tally {
-        &self.hold
     }
 
     /// When the lock next becomes free.

@@ -1,7 +1,7 @@
 //! Statistics collection for simulation runs.
 //!
 //! The paper reports means, distributions (CDFs), and ratios of measured
-//! quantities. [`Tally`] accumulates streaming moments (Welford), [`Sampled`]
+//! quantities. [`Tally`] accumulates an exact count and sum, [`Sampled`]
 //! additionally retains every observation so percentiles/CDFs can be
 //! extracted, and [`TimeWeighted`] integrates a piecewise-constant value
 //! (e.g. disk queue length) over simulated time.
@@ -10,12 +10,14 @@ use std::borrow::Cow;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Streaming count / mean / variance / min / max of a sequence of durations.
+/// Streaming count / sum / mean / min / max of a sequence of durations.
+///
+/// The sum is an exact nanosecond integer, so the mean is exact up to its
+/// final rounding and [`merge`](Tally::merge) is exact in any split.
 #[derive(Clone, Debug, Default)]
 pub struct Tally {
     count: u64,
-    mean: f64,
-    m2: f64,
+    sum: u128,
     min: Option<SimDuration>,
     max: Option<SimDuration>,
 }
@@ -27,32 +29,18 @@ impl Tally {
     }
 
     /// Record one observation.
+    #[inline]
     pub fn record(&mut self, d: SimDuration) {
-        let x = d.as_nanos() as f64;
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.sum += u128::from(d.as_nanos());
         self.min = Some(self.min.map_or(d, |m| m.min(d)));
         self.max = Some(self.max.map_or(d, |m| m.max(d)));
     }
 
     /// Merge another tally into this one (parallel-safe reduction).
     pub fn merge(&mut self, other: &Tally) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
+        self.sum += other.sum;
         self.min = match (self.min, other.min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -68,26 +56,23 @@ impl Tally {
         self.count
     }
 
-    /// Arithmetic mean, or zero if empty.
+    /// Arithmetic mean rounded to the nearest nanosecond, or zero if empty.
     pub fn mean(&self) -> SimDuration {
         if self.count == 0 {
             SimDuration::ZERO
         } else {
-            SimDuration::from_nanos(self.mean.round() as u64)
+            let n = u128::from(self.count);
+            let nanos = (self.sum + n / 2) / n;
+            SimDuration::from_nanos(u64::try_from(nanos).expect("a mean of u64 values fits u64"))
         }
     }
 
-    /// Mean in fractional milliseconds (for reporting).
+    /// Mean in fractional milliseconds (for reporting), or zero if empty.
     pub fn mean_millis(&self) -> f64 {
-        self.mean / 1.0e6
-    }
-
-    /// Population standard deviation, in fractional milliseconds.
-    pub fn stddev_millis(&self) -> f64 {
-        if self.count < 2 {
+        if self.count == 0 {
             0.0
         } else {
-            (self.m2 / self.count as f64).sqrt() / 1.0e6
+            self.sum as f64 / self.count as f64 / 1.0e6
         }
     }
 
@@ -101,9 +86,10 @@ impl Tally {
         self.max
     }
 
-    /// Sum of all observations.
+    /// Sum of all observations. Panics if it exceeds the `u64` nanosecond
+    /// range of a [`SimDuration`] (about 584 years).
     pub fn total(&self) -> SimDuration {
-        SimDuration::from_nanos((self.mean * self.count as f64).round() as u64)
+        SimDuration::from_nanos(u64::try_from(self.sum).expect("tally total exceeds u64 ns"))
     }
 }
 
@@ -318,7 +304,6 @@ mod tests {
         }
         assert_eq!(t.count(), 8);
         assert!((t.mean_millis() - 5.0).abs() < 1e-9);
-        assert!((t.stddev_millis() - 2.0).abs() < 1e-9);
         assert_eq!(t.min(), Some(ms(2)));
         assert_eq!(t.max(), Some(ms(9)));
         assert_eq!(t.total(), ms(40));
@@ -332,25 +317,56 @@ mod tests {
         assert_eq!(t.min(), None);
     }
 
-    #[test]
-    fn tally_merge_matches_sequential() {
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        let mut whole = Tally::new();
-        for x in 1..=10u64 {
-            if x <= 4 {
-                a.record(ms(x));
-            } else {
-                b.record(ms(x));
+    fn assert_same(a: &Tally, b: &Tally) {
+        assert_eq!(a.count(), b.count());
+        assert_eq!(a.sum, b.sum);
+        assert_eq!(a.mean(), b.mean());
+        assert_eq!(a.mean_millis(), b.mean_millis());
+        assert_eq!(a.min(), b.min());
+        assert_eq!(a.max(), b.max());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Splitting a sequence anywhere and merging the halves gives
+        /// exactly the tally of the whole sequence.
+        #[test]
+        fn tally_merge_matches_sequential_at_every_split(
+            xs in prop::collection::vec(0u64..u64::MAX / 2, 0..64),
+        ) {
+            let xs: Vec<SimDuration> = xs.into_iter().map(SimDuration::from_nanos).collect();
+            let mut whole = Tally::new();
+            xs.iter().for_each(|&x| whole.record(x));
+            for split in 0..=xs.len() {
+                let (mut a, mut b) = (Tally::new(), Tally::new());
+                xs[..split].iter().for_each(|&x| a.record(x));
+                xs[split..].iter().for_each(|&x| b.record(x));
+                a.merge(&b);
+                assert_same(&a, &whole);
             }
-            whole.record(ms(x));
+        }
+    }
+
+    #[test]
+    fn tally_sum_beyond_u64_stays_exact() {
+        let big = SimDuration::from_nanos(u64::MAX - 6);
+        let mut whole = Tally::new();
+        let (mut a, mut b) = (Tally::new(), Tally::new());
+        for (i, d) in [big, SimDuration::from_nanos(4), big, big]
+            .into_iter()
+            .enumerate()
+        {
+            whole.record(d);
+            if i < 2 { &mut a } else { &mut b }.record(d);
         }
         a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean_millis() - whole.mean_millis()).abs() < 1e-9);
-        assert!((a.stddev_millis() - whole.stddev_millis()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
+        assert_same(&a, &whole);
+        assert_eq!(whole.sum, 3 * u128::from(u64::MAX - 6) + 4);
+        // (3 × (2^64 − 7) + 4) / 4 = 0.75 × 2^64 − 4.25, rounded to nearest.
+        assert_eq!(whole.mean().as_nanos(), 13_835_058_055_282_163_708);
+        assert_eq!(whole.min(), Some(SimDuration::from_nanos(4)));
+        assert_eq!(whole.max(), Some(big));
     }
 
     #[test]

@@ -15,12 +15,18 @@ enum QueueOp {
     Cancel(usize),
     /// Pop the earliest live event, if any.
     Pop,
+    /// Pop as the engine does, then act from inside the popped event's
+    /// handler, while the queue still holds the popped root: cancel the
+    /// popped id, peek, optionally fork with `clone`, and schedule one
+    /// follow-up per delay, at or after the popped instant (a zero delay
+    /// ties with it).
+    Handle { delays: Vec<u64>, fork: bool },
 }
 
 /// The seed queue, restated: every scheduled event is kept in issue order
 /// and flagged rather than removed, and pop scans for the earliest
 /// still-live entry. Quadratic, but an unambiguous specification.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct TombstoneModel {
     /// (time, payload, dead) per issued event; issue order is tie order.
     events: Vec<(u64, usize, bool)>,
@@ -65,6 +71,15 @@ impl TombstoneModel {
     fn len(&self) -> usize {
         self.live
     }
+
+    fn drain(&mut self) -> Vec<(u64, usize)> {
+        std::iter::from_fn(|| self.pop()).collect()
+    }
+}
+
+/// Pop every remaining event of `q`, as `(nanos, payload)`.
+fn drain(q: &mut EventQueue<usize>) -> Vec<(u64, usize)> {
+    std::iter::from_fn(|| q.pop().map(|(t, p)| (t.as_nanos(), p))).collect()
 }
 
 proptest! {
@@ -185,7 +200,11 @@ proptest! {
     /// arbitrary interleavings of schedule, cancel, and pop — including
     /// cancelling ids that already popped (must report `false` and leave
     /// the queue untouched) and cancelling stale ids whose slot has since
-    /// been recycled for a newer event.
+    /// been recycled for a newer event. `Handle` drives the queue the way
+    /// the engine does, so every operation also runs while the popped root
+    /// is still taken: cancelling the popped id reports `false`,
+    /// `peek_time` skips it, a schedule replaces it (ties included), and a
+    /// fork taken then pops the same suffix as the model.
     #[test]
     fn event_queue_matches_tombstone_model(
         ops in prop::collection::vec(
@@ -193,6 +212,8 @@ proptest! {
                 (0u64..50).prop_map(QueueOp::Schedule),
                 (0usize..256).prop_map(QueueOp::Cancel),
                 Just(QueueOp::Pop),
+                (prop::collection::vec(0u64..3, 0..3), 0u8..4)
+                    .prop_map(|(delays, fork)| QueueOp::Handle { delays, fork: fork == 0 }),
             ],
             1..300,
         )
@@ -201,13 +222,13 @@ proptest! {
         let mut model = TombstoneModel::default();
         let mut ids = Vec::new();
         for op in &ops {
-            match *op {
-                QueueOp::Schedule(t) => {
+            match op {
+                &QueueOp::Schedule(t) => {
                     let payload = ids.len();
                     ids.push(q.schedule(SimTime::from_nanos(t), payload));
                     model.schedule(t, payload);
                 }
-                QueueOp::Cancel(pick) => {
+                &QueueOp::Cancel(pick) => {
                     if ids.is_empty() {
                         continue;
                     }
@@ -221,6 +242,25 @@ proptest! {
                 QueueOp::Pop => {
                     let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
                     prop_assert_eq!(got, model.pop());
+                }
+                QueueOp::Handle { delays, fork } => {
+                    let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+                    prop_assert_eq!(got, model.pop());
+                    let Some((now, popped)) = got else {
+                        continue;
+                    };
+                    prop_assert!(!q.cancel(ids[popped]), "cancelled the event just popped");
+                    prop_assert!(!model.cancel(popped));
+                    prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), model.peek_time());
+                    if *fork {
+                        let mut forked = q.clone();
+                        prop_assert_eq!(drain(&mut forked), model.clone().drain());
+                    }
+                    for &delay in delays {
+                        let payload = ids.len();
+                        ids.push(q.schedule(SimTime::from_nanos(now + delay), payload));
+                        model.schedule(now + delay, payload);
+                    }
                 }
             }
             prop_assert_eq!(q.len(), model.len());

@@ -29,7 +29,7 @@ use std::process::ExitCode;
 
 use rapid_transit::bench::sweep::{Sweep, SWEEPS};
 use rapid_transit::bench::FlightDump;
-use rapid_transit::cli::{build_config, flag_value, has_flag, parse_pattern};
+use rapid_transit::cli::{build_config, flag_value, has_flag, parse_pattern, strict_flags};
 use rapid_transit::core::experiment::{
     paper_grid, run_experiment, run_experiment_observed, run_experiment_traced, run_pair,
     run_pairs_parallel,
@@ -480,22 +480,31 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Measure the perf slice and merge it into the report (or with
+/// `--check`, validate the report). Only `--out FILE`, `--label L`,
+/// `--threads LIST`, `--quick` and `--check` are accepted, each once;
+/// anything else fails before a measurement runs or a file is touched.
 fn cmd_perf(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::json::Json;
     use rapid_transit::bench::perf;
-    use rapid_transit::cli::{flag_value, parse_thread_list};
+    use rapid_transit::cli::parse_thread_list;
 
-    let out = flag_value(args, "--out")?
-        .unwrap_or("BENCH_core.json")
-        .to_string();
-    let label = flag_value(args, "--label")?
-        .unwrap_or("optimized")
-        .to_string();
-    let quick = has_flag(args, "--quick");
+    let flags = strict_flags(
+        args,
+        &[
+            ("--out", "a file"),
+            ("--label", "a label"),
+            ("--threads", "a thread list"),
+        ],
+        &["--quick", "--check"],
+    )?;
+    let out = flags.value("--out").unwrap_or("BENCH_core.json");
+    let label = flags.value("--label").unwrap_or("optimized");
+    let quick = flags.has("--quick");
     // Scaling-curve thread counts: --threads wins, then RT_THREADS (a
     // single count, measured against serial), then the default two points.
     let threads_env = std::env::var("RT_THREADS").ok();
-    let thread_points = match flag_value(args, "--threads")? {
+    let thread_points = match flags.value("--threads") {
         Some(list) => parse_thread_list(list)?,
         None => match threads_env.as_deref() {
             Some(v) => {
@@ -514,8 +523,8 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         },
     };
 
-    if has_flag(args, "--check") {
-        let text = std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}"))?;
+    if flags.has("--check") {
+        let text = std::fs::read_to_string(out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
         perf::validate_report(&doc).map_err(|e| format!("{out}: {e}"))?;
         let entries = doc.get("entries").and_then(Json::as_array).unwrap_or(&[]);
@@ -528,7 +537,7 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         if quick { "quick" } else { "full" },
         thread_points,
     );
-    let entry = perf::measure(&label, quick, &thread_points);
+    let entry = perf::measure(label, quick, &thread_points);
     println!(
         "{label}: {:.0} events/sec ({} events, {:.0} ms), \
          {:.2} runs/sec ({} runs on {} threads, {:.0} ms), peak {} live events",
@@ -551,13 +560,13 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
             p.threads, p.events_per_sec, p.events, p.wall_ms, p.speedup,
         );
     }
-    let existing = match std::fs::read_to_string(&out) {
+    let existing = match std::fs::read_to_string(out) {
         Ok(text) => Some(Json::parse(&text).map_err(|e| format!("{out}: {e}"))?),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
         Err(e) => return Err(format!("cannot read {out}: {e}")),
     };
     let doc = perf::merge_report(existing.as_ref(), &entry);
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    std::fs::write(out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
 }
@@ -568,28 +577,10 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
 fn cmd_sweep(sweep: &Sweep, args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::json::Json;
 
-    let (mut out, mut smoke, mut check) = (None, false, false);
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        let repeated = match flag.as_str() {
-            "--out" => {
-                let file = args.next().filter(|f| !f.starts_with("--"));
-                out.replace(file.ok_or("--out requires a file")?).is_some()
-            }
-            "--smoke" => std::mem::replace(&mut smoke, true),
-            "--check" => std::mem::replace(&mut check, true),
-            _ => {
-                return Err(format!(
-                    "unknown flag {flag:?} (want --out FILE, --smoke, --check)"
-                ))
-            }
-        };
-        if repeated {
-            return Err(format!("{flag} given twice"));
-        }
-    }
-    let out = out.map_or(sweep.out, String::as_str);
-    if check {
+    let flags = strict_flags(args, &[("--out", "a file")], &["--smoke", "--check"])?;
+    let out = flags.value("--out").unwrap_or(sweep.out);
+    let smoke = flags.has("--smoke");
+    if flags.has("--check") {
         let text = std::fs::read_to_string(out).map_err(|e| format!("cannot read {out}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{out}: {e}"))?;
         sweep.validate(&doc).map_err(|e| format!("{out}: {e}"))?;

@@ -39,6 +39,61 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// A command's flags as parsed by [`strict_flags`].
+pub struct Flags<'a> {
+    given: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Flags<'a> {
+    /// The value given for the value flag `name`, if it was given.
+    pub fn value(&self, name: &str) -> Option<&'a str> {
+        self.given
+            .iter()
+            .find(|(f, _)| *f == name)
+            .and_then(|&(_, v)| v)
+    }
+
+    /// True when the flag `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == name)
+    }
+}
+
+/// Parse `args` as flags only, each given at most once. `valued` lists the
+/// flags that take a value, each with how an error names that value
+/// (`("--out", "a file")`); `bare` lists the flags that take none. An
+/// unknown or repeated flag, or a value flag not followed by a value (a
+/// following `--flag` does not count), is an error, so a mistyped command
+/// fails before it does any work.
+pub fn strict_flags<'a>(
+    args: &'a [String],
+    valued: &[(&str, &str)],
+    bare: &[&str],
+) -> Result<Flags<'a>, String> {
+    let mut given: Vec<(&'a str, Option<&'a str>)> = Vec::new();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = if let Some((_, what)) = valued.iter().find(|(f, _)| f == flag) {
+            let value = args.next().filter(|v| !v.starts_with("--"));
+            Some(value.ok_or(format!("{flag} requires {what}"))?.as_str())
+        } else if bare.contains(&flag.as_str()) {
+            None
+        } else {
+            let known: Vec<&str> = valued
+                .iter()
+                .map(|&(f, _)| f)
+                .chain(bare.iter().copied())
+                .collect();
+            return Err(format!("unknown flag {flag:?} (want {})", known.join(", ")));
+        };
+        if given.iter().any(|(f, _)| f == flag) {
+            return Err(format!("{flag} given twice"));
+        }
+        given.push((flag, value));
+    }
+    Ok(Flags { given })
+}
+
 /// Parse a pattern abbreviation (`lfp` … `gw`).
 pub fn parse_pattern(s: &str) -> Result<AccessPattern, String> {
     AccessPattern::from_abbrev(s)
@@ -521,5 +576,31 @@ mod tests {
         assert_eq!(flag_value(&a, "--z").unwrap(), None);
         assert!(has_flag(&a, "--y"));
         assert!(!has_flag(&a, "--w"));
+    }
+
+    #[test]
+    fn strict_flags_reject_unknown_repeated_and_missing_values() {
+        let parse = |a: &[&str]| {
+            strict_flags(&args(a), &[("--out", "a file")], &["--check"])
+                .map(|f| (f.value("--out").map(str::to_string), f.has("--check")))
+        };
+        assert_eq!(parse(&[]).unwrap(), (None, false));
+        assert_eq!(
+            parse(&["--check", "--out", "x.json"]).unwrap(),
+            (Some("x.json".to_string()), true)
+        );
+        let err = |a: &[&str]| parse(a).unwrap_err();
+        assert_eq!(
+            err(&["--chek"]),
+            "unknown flag \"--chek\" (want --out, --check)"
+        );
+        assert_eq!(
+            err(&["x.json"]),
+            "unknown flag \"x.json\" (want --out, --check)"
+        );
+        assert_eq!(err(&["--check", "--check"]), "--check given twice");
+        assert_eq!(err(&["--out", "a", "--out", "b"]), "--out given twice");
+        assert_eq!(err(&["--out"]), "--out requires a file");
+        assert_eq!(err(&["--out", "--check"]), "--out requires a file");
     }
 }
