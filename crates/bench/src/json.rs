@@ -73,12 +73,22 @@ impl Json {
     /// Render with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Render on a single line.
+    pub fn line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Write this value; `indent` is the nesting depth, or `None` to keep
+    /// everything on one line.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|i| i + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -94,12 +104,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
+                    break_line(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                break_line(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -112,14 +120,12 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                    break_line(out, inner);
                     write_string(out, key);
                     out.push_str(": ");
-                    value.write(out, indent + 1);
+                    value.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                break_line(out, indent);
                 out.push('}');
             }
         }
@@ -138,9 +144,16 @@ impl Json {
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Start a new line indented to `indent`, or on a single line, a space.
+fn break_line(out: &mut String, indent: Option<usize>) {
+    match indent {
+        Some(indent) => {
+            out.push('\n');
+            for _ in 0..indent {
+                out.push_str("  ");
+            }
+        }
+        None => out.push(' '),
     }
 }
 
@@ -487,6 +500,9 @@ mod tests {
         let text = value.pretty();
         let back = Json::parse(&text).expect("round trip parses");
         assert_eq!(back, value);
+        let line = value.line();
+        assert!(!line.contains('\n'), "{line}");
+        assert_eq!(Json::parse(&line).expect("one-line form parses"), value);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every optimization PR reruns this slice on the same machine and appends
 //! its numbers next to the preserved baseline entry, giving the repository
-//! a perf trajectory. Four measurements are taken:
+//! a perf trajectory. Three measurements are taken:
 //!
 //! * **events/sec** — the slice's six experiments run one at a time through
 //!   the instrumented engine; aggregate events divided by aggregate wall
@@ -15,17 +15,10 @@
 //!   replicas share one warmed-up prefix via
 //!   [`rt_core::experiment::run_replicas_forked`] (world snapshot/clone).
 //!   Same completed runs, less recomputation.
-//! * **scaling** — the conservative parallel engine ([`rt_sim::shard`])
-//!   driving a [`FarmConfig`] disk farm at each requested thread count.
-//!   The farm is bit-exact across thread counts by construction; the
-//!   report validator rejects any entry whose scaling points disagree on
-//!   event counts. Wall-clock speedup is a property of the *host* (a
-//!   single-core machine reports ~1.0 at every width).
 
-use rt_core::experiment::{run_experiment_instrumented, run_replicas_forked, RunPerf};
+use rt_core::experiment::{run_experiment_instrumented, run_replicas_forked};
 use rt_core::sweeps;
 use rt_core::{ExperimentConfig, PrefetchConfig};
-use rt_disk::FarmConfig;
 use rt_patterns::{AccessPattern, SyncStyle, WorkloadParams};
 
 use crate::json::{Check, Json};
@@ -54,21 +47,10 @@ pub const SLICE_FILE_BLOCKS: u32 = 16_000;
 /// shared prefix in the fork measurement.
 pub const FORK_WARM_FRACTION: f64 = 0.5;
 
-/// Report format version. Version 2 added the per-entry `scaling` curve
-/// (parallel-engine thread sweep) and the fork-sharing sweep numbers.
-pub const SCHEMA: u64 = 2;
-
-/// Thread counts measured when the caller does not ask for specific ones:
-/// serial plus the sweep default (or 2 on a single-core host), so every
-/// report carries at least a two-point scaling curve.
-pub fn default_thread_points() -> Vec<usize> {
-    let n = sweeps::default_threads();
-    if n > 1 {
-        vec![1, n]
-    } else {
-        vec![1, 2]
-    }
-}
+/// Report format version. Version 2 added the fork-sharing sweep numbers;
+/// version 3 dropped the per-entry `scaling` curve of a parallel disk-farm
+/// engine (older entries keep theirs, and the validator ignores it).
+pub const SCHEMA: u64 = 3;
 
 /// The fixed slice: three patterns × prefetch off/on. `quick` shrinks the
 /// machine for smoke tests (CI) where wall time matters more than signal.
@@ -99,66 +81,6 @@ pub fn slice_configs(quick: bool) -> Vec<ExperimentConfig> {
         }
     }
     configs
-}
-
-/// Order-independent aggregate of per-run engine counters. Totals are
-/// sums and the peak is a max, so partial aggregates built by workers that
-/// finish in any order merge to the same numbers — the report never
-/// depends on scheduling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PerfAgg {
-    /// Events dispatched, summed over runs.
-    pub events: u64,
-    /// Wall time inside the event loop, summed over runs.
-    pub wall: std::time::Duration,
-    /// Largest pending-event count seen in any run.
-    pub peak_live_events: u64,
-}
-
-impl PerfAgg {
-    /// Fold one instrumented run in.
-    pub fn add_run(&mut self, p: &RunPerf) {
-        self.events += p.events;
-        self.wall += p.wall;
-        self.peak_live_events = self.peak_live_events.max(p.peak_pending as u64);
-    }
-
-    /// Merge another partial aggregate in. Commutative and associative.
-    pub fn merge(&mut self, other: &PerfAgg) {
-        self.events += other.events;
-        self.wall += other.wall;
-        self.peak_live_events = self.peak_live_events.max(other.peak_live_events);
-    }
-}
-
-/// One point of the parallel-engine scaling curve.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalePoint {
-    /// Worker threads driving the sharded farm.
-    pub threads: u64,
-    /// Events the farm dispatched — identical at every width or the
-    /// validator rejects the entry.
-    pub events: u64,
-    /// Wall time of the farm run, in milliseconds.
-    pub wall_ms: f64,
-    /// `events / wall`.
-    pub events_per_sec: f64,
-    /// `events_per_sec` relative to this entry's single-thread point.
-    pub speedup: f64,
-}
-
-/// The farm the scaling curve drives: the paper's 20-device machine, or a
-/// shrunken one for the quick slice.
-pub fn scaling_farm(quick: bool) -> FarmConfig {
-    if quick {
-        FarmConfig {
-            devices: 8,
-            requests_per_device: 400,
-            ..FarmConfig::default()
-        }
-    } else {
-        FarmConfig::default()
-    }
 }
 
 /// One measured entry of the perf report.
@@ -192,26 +114,25 @@ pub struct PerfEntry {
     /// `fork_runs / fork_wall` — throughput when identical replicas share
     /// a warmed-up prefix via world snapshot/clone.
     pub fork_runs_per_sec: f64,
-    /// Parallel-engine scaling curve over the requested thread counts.
-    pub scaling: Vec<ScalePoint>,
 }
 
-/// Run the fixed slice and measure it at each of `thread_points` (for the
-/// scaling curve; the sweep measurements use [`sweeps::default_threads`]).
-pub fn measure(label: &str, quick: bool, thread_points: &[usize]) -> PerfEntry {
-    assert!(!thread_points.is_empty(), "need at least one thread count");
+/// Run the fixed slice and measure it; the sweep measurements use
+/// [`sweeps::default_threads`] workers.
+pub fn measure(label: &str, quick: bool) -> PerfEntry {
     let configs = slice_configs(quick);
 
     // Single-thread engine throughput: each config SEQ_REPS times,
     // instrumented.
-    let mut agg = PerfAgg::default();
+    let (mut events, mut wall, mut peak_live_events) = (0, std::time::Duration::ZERO, 0);
     for _ in 0..SEQ_REPS {
         for cfg in &configs {
-            let (_, perf): (_, RunPerf) = run_experiment_instrumented(cfg);
-            agg.add_run(&perf);
+            let (_, perf) = run_experiment_instrumented(cfg);
+            events += perf.events;
+            wall += perf.wall;
+            peak_live_events = peak_live_events.max(perf.peak_pending as u64);
         }
     }
-    let wall_secs = agg.wall.as_secs_f64().max(1e-9);
+    let wall_secs = wall.as_secs_f64().max(1e-9);
 
     // Sweep throughput: the slice replicated through the sweep scheduler.
     let threads = sweeps::default_threads();
@@ -239,45 +160,13 @@ pub fn measure(label: &str, quick: bool, thread_points: &[usize]) -> PerfEntry {
     assert_eq!(fork_runs, sweep_runs, "fork path must complete every run");
     let fork_secs = fork_wall.as_secs_f64().max(1e-9);
 
-    // Parallel-engine scaling: the sharded disk farm at each width. The
-    // event counts must agree bit-for-bit across widths (the engine's
-    // determinism guarantee); wall-clock speedup depends on the host.
-    let farm = scaling_farm(quick);
-    let mut scaling = Vec::with_capacity(thread_points.len());
-    for &t in thread_points {
-        let start = std::time::Instant::now();
-        let outcome = farm.run(t);
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        scaling.push(ScalePoint {
-            threads: t as u64,
-            events: outcome.run.events,
-            wall_ms: wall * 1e3,
-            events_per_sec: outcome.run.events as f64 / wall,
-            speedup: 0.0,
-        });
-    }
-    for p in &scaling {
-        assert_eq!(
-            p.events, scaling[0].events,
-            "parallel farm diverged from serial at {} threads",
-            p.threads
-        );
-    }
-    let base_eps = scaling
-        .iter()
-        .find(|p| p.threads == 1)
-        .map_or(scaling[0].events_per_sec, |p| p.events_per_sec);
-    for p in &mut scaling {
-        p.speedup = p.events_per_sec / base_eps.max(1e-9);
-    }
-
     PerfEntry {
         label: label.to_string(),
         quick,
-        events: agg.events,
+        events,
         wall_ms: wall_secs * 1e3,
-        events_per_sec: agg.events as f64 / wall_secs,
-        peak_live_events: agg.peak_live_events,
+        events_per_sec: events as f64 / wall_secs,
+        peak_live_events,
         sweep_runs,
         sweep_wall_ms: sweep_secs * 1e3,
         runs_per_sec: sweep_runs as f64 / sweep_secs,
@@ -285,7 +174,6 @@ pub fn measure(label: &str, quick: bool, thread_points: &[usize]) -> PerfEntry {
         fork_runs,
         fork_wall_ms: fork_secs * 1e3,
         fork_runs_per_sec: fork_runs as f64 / fork_secs,
-        scaling,
     }
 }
 
@@ -311,23 +199,6 @@ impl PerfEntry {
             (
                 "fork_runs_per_sec".into(),
                 Json::Num(self.fork_runs_per_sec),
-            ),
-            (
-                "scaling".into(),
-                Json::Arr(
-                    self.scaling
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("threads".into(), Json::Num(p.threads as f64)),
-                                ("events".into(), Json::Num(p.events as f64)),
-                                ("wall_ms".into(), Json::Num(p.wall_ms)),
-                                ("events_per_sec".into(), Json::Num(p.events_per_sec)),
-                                ("speedup".into(), Json::Num(p.speedup)),
-                            ])
-                        })
-                        .collect(),
-                ),
             ),
         ])
     }
@@ -371,11 +242,7 @@ pub fn merge_report(existing: Option<&Json>, entry: &PerfEntry) -> Json {
 }
 
 /// Check that `doc` is a structurally valid perf report with at least one
-/// entry carrying the required numeric fields, and that every entry's
-/// scaling curve is self-consistent: at least one point, positive thread
-/// counts, and *identical event counts at every width* — a point that
-/// dispatched a different number of events means the parallel engine
-/// diverged from the serial one, which no report may record.
+/// entry carrying the required numeric fields.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
     let mut c = Check::new();
     c.require_schema(doc, SCHEMA);
@@ -401,41 +268,6 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                 Some(None) => c.fail(format!("entry {i}: non-numeric {field}")),
                 Some(Some(v)) if v < 0.0 => c.fail(format!("entry {i}: negative {field}")),
                 _ => {}
-            }
-        }
-        let scaling = match e.get("scaling").and_then(Json::as_array) {
-            Some([]) => {
-                c.fail(format!("entry {i}: empty scaling curve"));
-                continue;
-            }
-            Some(points) => points,
-            None => {
-                c.fail(format!("entry {i}: missing scaling curve"));
-                continue;
-            }
-        };
-        let mut first_events = None;
-        for (j, p) in scaling.iter().enumerate() {
-            c.nums(
-                p,
-                &["threads", "events", "wall_ms", "events_per_sec", "speedup"],
-                &format!("entry {i}: scaling point {j}"),
-            );
-            let threads = p.get("threads").and_then(Json::as_f64).unwrap_or(0.0);
-            if threads < 1.0 {
-                c.fail(format!("entry {i}: scaling point {j}: threads < 1"));
-            }
-            let events = p.get("events").and_then(Json::as_f64).unwrap_or(0.0);
-            match first_events {
-                None => first_events = Some(events),
-                Some(base) if events != base => {
-                    c.fail(format!(
-                        "entry {i}: scaling point {j} ({threads} threads) dispatched \
-                         {events} events but the first point dispatched {base}: \
-                         parallel run diverged from serial"
-                    ));
-                }
-                Some(_) => {}
             }
         }
     }
@@ -465,18 +297,13 @@ mod tests {
 
     #[test]
     fn measure_quick_produces_valid_report() {
-        let entry = measure("unit-test", true, &[1, 2]);
+        let entry = measure("unit-test", true);
         assert!(entry.events > 0);
         assert!(entry.events_per_sec > 0.0);
         assert!(entry.runs_per_sec > 0.0);
         assert_eq!(entry.sweep_runs, (6 * SWEEP_REPS) as u64);
         assert_eq!(entry.fork_runs, entry.sweep_runs);
         assert!(entry.fork_runs_per_sec > 0.0);
-        assert_eq!(entry.scaling.len(), 2);
-        assert_eq!(entry.scaling[0].threads, 1);
-        assert_eq!(entry.scaling[1].threads, 2);
-        assert_eq!(entry.scaling[0].events, entry.scaling[1].events);
-        assert!((entry.scaling[0].speedup - 1.0).abs() < 1e-9);
         let doc = merge_report(None, &entry);
         validate_report(&doc).expect("fresh report validates");
         let reparsed = Json::parse(&doc.pretty()).expect("report parses");
@@ -484,64 +311,8 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_is_merge_order_independent() {
-        let runs: Vec<RunPerf> = (0..7)
-            .map(|i| RunPerf {
-                events: 1000 + i * 37,
-                wall: std::time::Duration::from_micros(500 + i * 13),
-                peak_pending: (40 + (i * 29) % 50) as usize,
-            })
-            .collect();
-        // Partial aggregates merged in several different orders.
-        let agg_in = |order: &[usize]| {
-            let parts: Vec<PerfAgg> = runs
-                .iter()
-                .map(|r| {
-                    let mut a = PerfAgg::default();
-                    a.add_run(r);
-                    a
-                })
-                .collect();
-            let mut total = PerfAgg::default();
-            for &i in order {
-                total.merge(&parts[i]);
-            }
-            total
-        };
-        let forward: Vec<usize> = (0..7).collect();
-        let reverse: Vec<usize> = (0..7).rev().collect();
-        let rotated: Vec<usize> = (0..7).map(|i| (i + 3) % 7).collect();
-        let base = agg_in(&forward);
-        assert_eq!(base, agg_in(&reverse));
-        assert_eq!(base, agg_in(&rotated));
-        assert_eq!(base.events, runs.iter().map(|r| r.events).sum::<u64>());
-        assert_eq!(
-            base.peak_live_events,
-            runs.iter().map(|r| r.peak_pending as u64).max().unwrap()
-        );
-    }
-
-    #[test]
-    fn validate_rejects_scaling_divergence() {
-        let mut entry = measure("diverge", true, &[1, 2]);
-        let doc = merge_report(None, &entry);
-        validate_report(&doc).expect("consistent curve validates");
-        // Tamper with one point's event count: the validator must see a
-        // parallel/serial divergence.
-        entry.scaling[1].events += 1;
-        let doc = merge_report(None, &entry);
-        let err = validate_report(&doc).expect_err("divergent curve rejected");
-        assert!(err.contains("diverged"), "{err}");
-        // And an entry with no curve at all is rejected.
-        entry.scaling.clear();
-        let doc = merge_report(None, &entry);
-        let err = validate_report(&doc).expect_err("empty curve rejected");
-        assert!(err.contains("scaling"), "{err}");
-    }
-
-    #[test]
     fn merge_replaces_same_label_keeps_others() {
-        let a = measure("alpha", true, &[1]);
+        let a = measure("alpha", true);
         let doc = merge_report(None, &a);
         let mut b = a.clone();
         b.label = "beta".into();

@@ -4,8 +4,9 @@
 //! reproduction of Kotz & Ellis (1989) replaces the BBN Butterfly Plus with
 //! a discrete-event simulation; this crate provides the engine: a virtual
 //! clock ([`SimTime`]), a deterministic pending-event set, an event loop
-//! ([`run`]), analytic contended resources ([`FifoServer`], [`SimLock`]),
-//! reproducible random streams ([`Rng`]), and run statistics.
+//! ([`run`]), an analytic FIFO lock ([`SimLock`]), reproducible random
+//! streams ([`Rng`]), and run statistics ([`Tally`], [`Sampled`],
+//! [`Ratio`]).
 //!
 //! Determinism guarantees: with the same model and seeds, every run produces
 //! the identical event sequence — events at equal times fire in schedule
@@ -39,7 +40,6 @@ pub mod engine;
 pub mod event;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
@@ -48,8 +48,7 @@ pub use engine::{
     Scheduler,
 };
 pub use event::{EventId, EventQueue};
-pub use resource::{Admission, FifoServer, SimLock};
+pub use resource::SimLock;
 pub use rng::Rng;
-pub use shard::{run_shards, run_shards_reference, ShardCtx, ShardKey, ShardModel, ShardRun};
-pub use stats::{Ratio, Sampled, Tally, TimeWeighted};
+pub use stats::{Ratio, Sampled, Tally};
 pub use time::{SimDuration, SimTime};

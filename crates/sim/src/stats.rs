@@ -3,12 +3,11 @@
 //! The paper reports means, distributions (CDFs), and ratios of measured
 //! quantities. [`Tally`] accumulates an exact count and sum, [`Sampled`]
 //! additionally retains every observation so percentiles/CDFs can be
-//! extracted, and [`TimeWeighted`] integrates a piecewise-constant value
-//! (e.g. disk queue length) over simulated time.
+//! extracted, and [`Ratio`] counts hits against a total.
 
 use std::borrow::Cow;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Streaming count / sum / mean / min / max of a sequence of durations.
 ///
@@ -175,68 +174,6 @@ impl Sampled {
     /// is called, ascending after.
     pub fn samples(&self) -> &[SimDuration] {
         &self.samples
-    }
-}
-
-/// Integrates a piecewise-constant value over simulated time; used for
-/// average queue lengths and device utilization.
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_change: SimTime,
-    value: f64,
-    integral: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Start integrating `initial` from time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_change: start,
-            value: initial,
-            integral: 0.0,
-            max: initial,
-        }
-    }
-
-    /// Set a new value at time `now` (which must not precede the previous
-    /// change).
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.saturating_since(self.last_change).as_nanos() as f64;
-        self.integral += self.value * dt;
-        self.last_change = now;
-        self.value = value;
-        if value > self.max {
-            self.max = value;
-        }
-    }
-
-    /// Adjust the current value by `delta` at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Time-average of the value over `[start, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let dt = now.saturating_since(self.last_change).as_nanos() as f64;
-        let total_time = self.integral + self.value * dt;
-        let span = now.as_nanos() as f64;
-        if span == 0.0 {
-            self.value
-        } else {
-            total_time / span
-        }
-    }
-
-    /// Largest value ever set.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Current value.
-    pub fn current(&self) -> f64 {
-        self.value
     }
 }
 
@@ -431,26 +368,6 @@ mod tests {
                 prop_assert_eq!(s.quantile(q), Some(reference_quantile(&all, q)));
             }
         }
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut w = TimeWeighted::new(SimTime::ZERO, 0.0);
-        w.set(SimTime::from_nanos(10), 2.0); // 0 for 10ns
-        w.set(SimTime::from_nanos(30), 4.0); // 2 for 20ns
-                                             // 4 for 10ns -> integral = 0 + 40 + 40 = 80 over 40ns
-        assert!((w.average(SimTime::from_nanos(40)) - 2.0).abs() < 1e-9);
-        assert_eq!(w.max(), 4.0);
-        assert_eq!(w.current(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut w = TimeWeighted::new(SimTime::ZERO, 1.0);
-        w.add(SimTime::from_nanos(10), 1.0);
-        assert_eq!(w.current(), 2.0);
-        w.add(SimTime::from_nanos(20), -2.0);
-        assert_eq!(w.current(), 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property tests for the simulation engine substrate: event ordering,
-//! server conservation laws, and PRNG sanity.
+//! lock conservation laws, and PRNG sanity.
 
 use proptest::prelude::*;
 
-use rt_sim::{EventQueue, FifoServer, Rng, SimDuration, SimLock, SimTime};
+use rt_sim::{EventQueue, Rng, SimDuration, SimLock, SimTime};
 
 /// One step of the event-queue model comparison.
 #[derive(Clone, Debug)]
@@ -127,30 +127,6 @@ proptest! {
         }
         popped.sort_unstable();
         prop_assert_eq!(popped, kept);
-    }
-
-    /// FIFO server conservation: completions are ordered, no two service
-    /// intervals overlap, and busy time equals the sum of service times.
-    #[test]
-    fn fifo_server_conserves_work(
-        jobs in prop::collection::vec((0u64..10_000, 1u64..100), 1..100)
-    ) {
-        let mut server = FifoServer::new();
-        let mut jobs = jobs;
-        jobs.sort_by_key(|&(at, _)| at); // submissions arrive in time order
-        let mut last_completion = SimTime::ZERO;
-        let mut total_service = SimDuration::ZERO;
-        for &(at, service) in &jobs {
-            let adm = server.submit(SimTime::from_nanos(at), SimDuration::from_nanos(service));
-            prop_assert!(adm.start >= SimTime::from_nanos(at));
-            prop_assert!(adm.start >= last_completion);
-            prop_assert_eq!(adm.completion, adm.start + SimDuration::from_nanos(service));
-            last_completion = adm.completion;
-            total_service += SimDuration::from_nanos(service);
-        }
-        prop_assert_eq!(server.busy_time(), total_service);
-        prop_assert_eq!(server.ops(), jobs.len() as u64);
-        prop_assert_eq!(server.free_at(), last_completion);
     }
 
     /// Lock grants never overlap and respect FIFO order.

@@ -24,12 +24,18 @@
 //! `--faults SPECS`, `--replicas N`, `--io-timeout MS`,
 //! `--queue-depth N`, `--prefetch-credits N`, `--verify`, `--scrub`,
 //! `--trace-out FILE`, `--sample-every MS`.
+//!
+//! Every command is strict about its arguments: an unknown, repeated or
+//! value-less flag, or a surplus argument, exits 2 before any work is done
+//! or any file is written.
 
 use std::process::ExitCode;
 
 use rapid_transit::bench::sweep::{Sweep, SWEEPS};
 use rapid_transit::bench::FlightDump;
-use rapid_transit::cli::{build_config, flag_value, has_flag, parse_pattern, strict_flags};
+use rapid_transit::cli::{
+    config_from_flags, parse_pattern, strict_flags, CONFIG_BARE, CONFIG_VALUED,
+};
 use rapid_transit::core::experiment::{
     paper_grid, run_experiment, run_experiment_observed, run_experiment_traced, run_pair,
     run_pairs_parallel,
@@ -86,9 +92,7 @@ commands:
   trace-check F  validate an exported Perfetto trace file (well-formed,
                  spans per track in order, attribution sums exact)
   perf           measure the fixed perf slice, update BENCH_core.json
-                 (--label L, --out FILE, --quick, --check,
-                  --threads LIST scaling-curve thread counts, e.g. 1,2,4;
-                  RT_THREADS=N overrides the default when --threads absent)
+                 (--label L, --out FILE, --quick, --check)
   faults         run the fault-injection sweep, write BENCH_faults.json
                  (--out FILE, --smoke, --check)
   crashes        run the node-crash sweep (crash/rejoin/cascade over all
@@ -125,7 +129,7 @@ telemetry options (run):
                  only meaningful with --trace-out)
 
 fault options (run):
-  --faults SPECS comma-separated fault specs, repeatable:
+  --faults SPECS one comma-separated list of fault specs:
                    straggler:<disk>:x<factor>[@<from>[-<until>]]
                    flaky:<disk>:p<prob>[@<from>[-<until>]]
                    fail:<disk>@<from>[-<until>]
@@ -316,9 +320,18 @@ fn overload_rows(m: &RunMetrics) -> Vec<(&'static str, String)> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let cfg = build_config(args)?;
-    let trace_out = flag_value(args, "--trace-out")?.map(str::to_string);
-    let sample_every = match flag_value(args, "--sample-every")? {
+    let valued = [
+        CONFIG_VALUED,
+        &[
+            ("--trace-out", "a file"),
+            ("--sample-every", "milliseconds"),
+        ],
+    ]
+    .concat();
+    let flags = strict_flags(args, &valued, &[CONFIG_BARE, &["--csv"]].concat())?;
+    let cfg = config_from_flags(&flags)?;
+    let trace_out = flags.value("--trace-out");
+    let sample_every = match flags.value("--sample-every") {
         Some(v) => {
             let ms: u64 = v.parse().map_err(|_| "bad --sample-every (milliseconds)")?;
             if trace_out.is_none() {
@@ -336,7 +349,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let show_tail = cfg.faults.hedge.delay.is_some()
         || cfg.faults.budget.capacity.is_some()
         || cfg.faults.breaker.enabled;
-    let m = match &trace_out {
+    let m = match trace_out {
         Some(path) => {
             let mut ocfg = ObsConfig::default();
             if let Some(ms) = sample_every {
@@ -371,7 +384,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if show_overload {
         rows.extend(overload_rows(&m));
     }
-    if has_flag(args, "--csv") {
+    if flags.has("--csv") {
         println!("metric,value");
         for (k, v) in rows {
             println!("{k},{v}");
@@ -387,7 +400,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_grid(args: &[String]) -> Result<(), String> {
-    let csv = has_flag(args, "--csv");
+    let csv = strict_flags(args, &[], &["--csv"])?.has("--csv");
     let grid = paper_grid();
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let pairs = run_pairs_parallel(&grid, threads);
@@ -421,11 +434,17 @@ fn cmd_grid(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The one positional argument of `lead`, `trace` and `trace-check`; a
+/// missing one is an error that names `what`, and so is any argument after
+/// it.
+fn sole_arg<'a>(args: &'a [String], what: &str) -> Result<&'a str, String> {
+    let (first, rest) = args.split_first().ok_or(what)?;
+    strict_flags(rest, &[], &[])?;
+    Ok(first)
+}
+
 fn cmd_lead(args: &[String]) -> Result<(), String> {
-    let pattern = match args.first() {
-        Some(p) => parse_pattern(p)?,
-        None => return Err("lead requires a pattern (lfp|gfp|lw|gw)".into()),
-    };
+    let pattern = parse_pattern(sole_arg(args, "lead requires a pattern (lfp|gfp|lw|gw)")?)?;
     let scale = if pattern.is_local() { 20.0 } else { 1.0 };
     println!("lead,hit_wait_ms,miss_ratio,read_ms,total_ms");
     for lead in [0u32, 15, 30, 45, 60, 75, 90] {
@@ -442,7 +461,8 @@ fn cmd_lead(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep_compute(_args: &[String]) -> Result<(), String> {
+fn cmd_sweep_compute(args: &[String]) -> Result<(), String> {
+    strict_flags(args, &[], &[])?;
     println!("compute_ms,dtotal_pct,dread_pct,read_pf_ms,action_ms");
     for ms in [0u64, 5, 10, 20, 30, 45, 60, 80, 100, 150, 200] {
         let mut cfg = ExperimentConfig::paper_default(
@@ -466,9 +486,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::json::Json;
     use rapid_transit::bench::trace_check;
 
-    let Some(path) = args.first() else {
-        return Err("trace-check requires a file".into());
-    };
+    let path = sole_arg(args, "trace-check requires a file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let stats = trace_check::validate_trace(&doc).map_err(|e| format!("{path}:\n{e}"))?;
@@ -482,46 +500,20 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
 
 /// Measure the perf slice and merge it into the report (or with
 /// `--check`, validate the report). Only `--out FILE`, `--label L`,
-/// `--threads LIST`, `--quick` and `--check` are accepted, each once;
-/// anything else fails before a measurement runs or a file is touched.
+/// `--quick` and `--check` are accepted, each once; anything else fails
+/// before a measurement runs or a file is touched.
 fn cmd_perf(args: &[String]) -> Result<(), String> {
     use rapid_transit::bench::json::Json;
     use rapid_transit::bench::perf;
-    use rapid_transit::cli::parse_thread_list;
 
     let flags = strict_flags(
         args,
-        &[
-            ("--out", "a file"),
-            ("--label", "a label"),
-            ("--threads", "a thread list"),
-        ],
+        &[("--out", "a file"), ("--label", "a label")],
         &["--quick", "--check"],
     )?;
     let out = flags.value("--out").unwrap_or("BENCH_core.json");
     let label = flags.value("--label").unwrap_or("optimized");
     let quick = flags.has("--quick");
-    // Scaling-curve thread counts: --threads wins, then RT_THREADS (a
-    // single count, measured against serial), then the default two points.
-    let threads_env = std::env::var("RT_THREADS").ok();
-    let thread_points = match flags.value("--threads") {
-        Some(list) => parse_thread_list(list)?,
-        None => match threads_env.as_deref() {
-            Some(v) => {
-                let n = parse_thread_list(v)
-                    .map_err(|e| format!("RT_THREADS: {e}"))?
-                    .into_iter()
-                    .max()
-                    .unwrap_or(1);
-                if n > 1 {
-                    vec![1, n]
-                } else {
-                    vec![1]
-                }
-            }
-            None => perf::default_thread_points(),
-        },
-    };
 
     if flags.has("--check") {
         let text = std::fs::read_to_string(out).map_err(|e| format!("cannot read {out}: {e}"))?;
@@ -533,11 +525,10 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "measuring perf slice ({}, scaling over {:?} threads ...)",
-        if quick { "quick" } else { "full" },
-        thread_points,
+        "measuring perf slice ({} ...)",
+        if quick { "quick" } else { "full" }
     );
-    let entry = perf::measure(label, quick, &thread_points);
+    let entry = perf::measure(label, quick);
     println!(
         "{label}: {:.0} events/sec ({} events, {:.0} ms), \
          {:.2} runs/sec ({} runs on {} threads, {:.0} ms), peak {} live events",
@@ -554,12 +545,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         "{label}: fork-shared sweep {:.2} runs/sec ({} runs, {:.0} ms) vs plain {:.2}",
         entry.fork_runs_per_sec, entry.fork_runs, entry.fork_wall_ms, entry.runs_per_sec,
     );
-    for p in &entry.scaling {
-        println!(
-            "{label}: farm x{} threads: {:.0} events/sec ({} events, {:.0} ms, speedup {:.2})",
-            p.threads, p.events_per_sec, p.events, p.wall_ms, p.speedup,
-        );
-    }
     let existing = match std::fs::read_to_string(out) {
         Ok(text) => Some(Json::parse(&text).map_err(|e| format!("{out}: {e}"))?),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
@@ -631,10 +616,7 @@ fn write_flight_dump(out: &str, dump: &FlightDump) {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let pattern = match args.first() {
-        Some(p) => parse_pattern(p)?,
-        None => return Err("trace requires a pattern".into()),
-    };
+    let pattern = parse_pattern(sole_arg(args, "trace requires a pattern")?)?;
     let mut cfg = ExperimentConfig::paper_default(pattern, SyncStyle::BlocksPerProc(10));
     cfg.prefetch = PrefetchConfig::paper();
     let (m, trace) = run_experiment_traced(&cfg);

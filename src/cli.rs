@@ -6,39 +6,6 @@ use rt_core::{AdmissionConfig, ExperimentConfig, PolicyKind, PrefetchConfig};
 use rt_patterns::{AccessPattern, SyncStyle};
 use rt_sim::SimDuration;
 
-/// Return the value following `--name`, if present.
-pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return match args.get(i + 1) {
-                Some(v) => Ok(Some(v.as_str())),
-                None => Err(format!("{name} requires a value")),
-            };
-        }
-    }
-    Ok(None)
-}
-
-/// Return every value following an occurrence of `--name` (the flag is
-/// repeatable).
-pub fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, String> {
-    let mut values = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            match args.get(i + 1) {
-                Some(v) => values.push(v.as_str()),
-                None => return Err(format!("{name} requires a value")),
-            }
-        }
-    }
-    Ok(values)
-}
-
-/// True when the bare flag `--name` is present.
-pub fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
 /// A command's flags as parsed by [`strict_flags`].
 pub struct Flags<'a> {
     given: Vec<(&'a str, Option<&'a str>)>,
@@ -84,7 +51,11 @@ pub fn strict_flags<'a>(
                 .map(|&(f, _)| f)
                 .chain(bare.iter().copied())
                 .collect();
-            return Err(format!("unknown flag {flag:?} (want {})", known.join(", ")));
+            return Err(if known.is_empty() {
+                format!("unexpected argument {flag:?}")
+            } else {
+                format!("unknown flag {flag:?} (want {})", known.join(", "))
+            });
         };
         if given.iter().any(|(f, _)| f == flag) {
             return Err(format!("{flag} given twice"));
@@ -122,37 +93,45 @@ pub fn parse_sync(s: &str) -> Result<SyncStyle, String> {
     }
 }
 
-/// Parse a comma-separated list of worker-thread counts (`1,2,4`), as
-/// taken by `perf --threads`. Every count must be a positive integer;
-/// duplicates are kept in order (the caller measures each point as given).
-pub fn parse_thread_list(s: &str) -> Result<Vec<usize>, String> {
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let n: usize = part
-            .parse()
-            .map_err(|_| format!("bad thread count {part:?} in {s:?}"))?;
-        if n == 0 {
-            return Err("thread counts must be positive".into());
-        }
-        out.push(n);
-    }
-    if out.is_empty() {
-        return Err(format!("no thread counts in {s:?}"));
-    }
-    Ok(out)
+/// The experiment-configuration flags that take a value, each with how an
+/// error names that value (see [`strict_flags`]).
+pub const CONFIG_VALUED: &[(&str, &str)] = &[
+    ("--pattern", "a pattern"),
+    ("--sync", "a sync style"),
+    ("--procs", "a count"),
+    ("--disks", "a count"),
+    ("--blocks", "a count"),
+    ("--compute", "milliseconds"),
+    ("--seed", "a number"),
+    ("--policy", "a policy"),
+    ("--lead", "a count"),
+    ("--queue-depth", "a count"),
+    ("--prefetch-credits", "a count"),
+    ("--faults", "fault specs"),
+    ("--replicas", "a count"),
+    ("--io-timeout", "milliseconds"),
+    ("--hedge", "a delay"),
+    ("--retry-budget", "a capacity"),
+    ("--breaker", "a threshold"),
+];
+
+/// The experiment-configuration flags that take no value.
+pub const CONFIG_BARE: &[&str] = &["--prefetch", "--verify", "--scrub"];
+
+/// Build an [`ExperimentConfig`] from `run`-style command-line options:
+/// only the configuration flags, each at most once.
+pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
+    config_from_flags(&strict_flags(args, CONFIG_VALUED, CONFIG_BARE)?)
 }
 
-/// Build an [`ExperimentConfig`] from `run`-style command-line options.
-pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
-    let pattern = match flag_value(args, "--pattern")? {
+/// Build an [`ExperimentConfig`] from already-parsed flags, so a command
+/// can accept the configuration flags plus its own.
+pub fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
+    let pattern = match flags.value("--pattern") {
         Some(s) => parse_pattern(s)?,
         None => AccessPattern::GlobalWholeFile,
     };
-    let sync = match flag_value(args, "--sync")? {
+    let sync = match flags.value("--sync") {
         Some(s) => parse_sync(s)?,
         None => SyncStyle::BlocksPerProc(10),
     };
@@ -161,7 +140,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     }
     let mut cfg = ExperimentConfig::paper_default(pattern, sync);
 
-    if let Some(v) = flag_value(args, "--procs")? {
+    if let Some(v) = flags.value("--procs") {
         let procs: u16 = v.parse().map_err(|_| "bad --procs")?;
         if procs == 0 {
             return Err("--procs must be positive".into());
@@ -170,14 +149,14 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
         cfg.disks = procs;
         cfg.workload.procs = procs;
     }
-    if let Some(v) = flag_value(args, "--disks")? {
+    if let Some(v) = flags.value("--disks") {
         let disks: u16 = v.parse().map_err(|_| "bad --disks")?;
         if disks == 0 {
             return Err("--disks must be positive".into());
         }
         cfg.disks = disks;
     }
-    if let Some(v) = flag_value(args, "--blocks")? {
+    if let Some(v) = flags.value("--blocks") {
         let blocks: u32 = v.parse().map_err(|_| "bad --blocks")?;
         if blocks == 0 {
             return Err("--blocks must be positive".into());
@@ -191,15 +170,15 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             cfg.workload.total_reads, cfg.procs
         ));
     }
-    if let Some(v) = flag_value(args, "--compute")? {
+    if let Some(v) = flags.value("--compute") {
         let ms: u64 = v.parse().map_err(|_| "bad --compute")?;
         cfg.compute_mean = SimDuration::from_millis(ms);
     }
-    if let Some(v) = flag_value(args, "--seed")? {
+    if let Some(v) = flags.value("--seed") {
         cfg.seed = v.parse().map_err(|_| "bad --seed")?;
     }
-    if has_flag(args, "--prefetch") {
-        let policy = match flag_value(args, "--policy")? {
+    if flags.has("--prefetch") {
+        let policy = match flags.value("--policy") {
             None | Some("oracle") => PolicyKind::Oracle,
             Some("obl") => PolicyKind::Obl { depth: 3 },
             Some("learner") => PolicyKind::PortionLearner { confidence: 2 },
@@ -209,7 +188,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             PolicyKind::Oracle => PrefetchConfig::paper(),
             other => PrefetchConfig::online(other),
         };
-        if let Some(v) = flag_value(args, "--lead")? {
+        if let Some(v) = flags.value("--lead") {
             cfg.prefetch.min_lead = v.parse().map_err(|_| "bad --lead")?;
         }
     }
@@ -217,14 +196,14 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     // Overload knobs: bound the per-device queues, and optionally enable
     // the prefetch admission controller with a credit pool. Both default
     // off, which reproduces the paper's unbounded behavior exactly.
-    if let Some(v) = flag_value(args, "--queue-depth")? {
+    if let Some(v) = flags.value("--queue-depth") {
         let depth: u32 = v.parse().map_err(|_| "bad --queue-depth")?;
         if depth == 0 {
             return Err("--queue-depth must be positive".into());
         }
         cfg.queue_depth = Some(depth);
     }
-    if let Some(v) = flag_value(args, "--prefetch-credits")? {
+    if let Some(v) = flags.value("--prefetch-credits") {
         let credits: u32 = v.parse().map_err(|_| "bad --prefetch-credits")?;
         if credits == 0 {
             return Err("--prefetch-credits must be positive".into());
@@ -232,23 +211,18 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
         cfg.admission = AdmissionConfig::on(credits);
     }
 
-    // Fault injection: each --faults value is a comma-separated list of
-    // specs — device faults (straggler:7:x4, flaky:3:p0.2@1s-4s,
-    // fail:5@2s) and node crashes (crash:3@5s:rejoin@12s). The flag is
-    // repeatable.
-    for list in flag_values(args, "--faults")? {
+    // Fault injection: --faults takes one comma-separated list of specs —
+    // device faults (straggler:7:x4, flaky:3:p0.2@1s-4s, fail:5@2s) and
+    // node crashes (crash:3@5s:rejoin@12s).
+    if let Some(list) = flags.value("--faults") {
         let (plan, crashes) = parse_all_fault_specs(list).map_err(|e| e.to_string())?;
-        for f in plan.entries() {
-            cfg.faults.plan.push(*f);
-        }
-        for c in crashes.entries() {
-            cfg.faults.crashes.push(*c);
-        }
+        cfg.faults.plan = plan;
+        cfg.faults.crashes = crashes;
     }
-    if let Some(v) = flag_value(args, "--replicas")? {
+    if let Some(v) = flags.value("--replicas") {
         cfg.faults.replicas = v.parse().map_err(|_| "bad --replicas")?;
     }
-    if let Some(v) = flag_value(args, "--io-timeout")? {
+    if let Some(v) = flags.value("--io-timeout") {
         let ms: u64 = v.parse().map_err(|_| "bad --io-timeout (milliseconds)")?;
         if ms == 0 {
             return Err("--io-timeout must be positive".into());
@@ -264,7 +238,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     // --breaker opens a per-device circuit on an error/timeout EWMA so
     // replica selection routes around the sick device until a half-open
     // probe succeeds.
-    if let Some(v) = flag_value(args, "--hedge")? {
+    if let Some(v) = flags.value("--hedge") {
         let (ms, mult) = match v.split_once(':') {
             Some((ms, m)) => {
                 let m = m
@@ -280,7 +254,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             cfg.faults.hedge.multiplier = m.parse().map_err(|_| "bad --hedge multiplier")?;
         }
     }
-    if let Some(v) = flag_value(args, "--retry-budget")? {
+    if let Some(v) = flags.value("--retry-budget") {
         let (cap, refill) = match v.split_once(':') {
             Some((c, r)) => (c, Some(r)),
             None => (v, None),
@@ -291,7 +265,7 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
             cfg.faults.budget.refill = r.parse().map_err(|_| "bad --retry-budget refill")?;
         }
     }
-    if let Some(v) = flag_value(args, "--breaker")? {
+    if let Some(v) = flags.value("--breaker") {
         cfg.faults.breaker.enabled = true;
         let mut parts = v.split(':');
         if let Some(t) = parts.next() {
@@ -317,10 +291,10 @@ pub fn build_config(args: &[String]) -> Result<ExperimentConfig, String> {
     // corrupt window is scheduled (corruption can never bypass detection);
     // --verify pays the checksum cost even without corruption, and --scrub
     // lets the daemon spend otherwise-empty idle slots on scrub reads.
-    if has_flag(args, "--verify") {
+    if flags.has("--verify") {
         cfg.integrity.verify = true;
     }
-    if has_flag(args, "--scrub") {
+    if flags.has("--scrub") {
         cfg.integrity.scrub = true;
     }
     cfg.validate().map_err(|e| e.to_string())?;
@@ -405,7 +379,7 @@ mod tests {
     #[test]
     fn missing_value_reported() {
         let err = build_config(&args(&["--pattern"])).unwrap_err();
-        assert!(err.contains("requires a value"));
+        assert_eq!(err, "--pattern requires a pattern");
     }
 
     #[test]
@@ -419,9 +393,7 @@ mod tests {
     fn fault_flags_parse() {
         let cfg = build_config(&args(&[
             "--faults",
-            "straggler:7:x4,flaky:3:p0.2@1s-4s",
-            "--faults",
-            "fail:5@2s-6s",
+            "straggler:7:x4,flaky:3:p0.2@1s-4s,fail:5@2s-6s",
             "--io-timeout",
             "500",
             "--replicas",
@@ -509,9 +481,7 @@ mod tests {
     fn crash_flags_parse() {
         let cfg = build_config(&args(&[
             "--faults",
-            "crash:3@5s:rejoin@12s,straggler:7:x4",
-            "--faults",
-            "crash:9@8s",
+            "crash:3@5s:rejoin@12s,straggler:7:x4,crash:9@8s",
         ]))
         .unwrap();
         assert_eq!(cfg.faults.crashes.entries().len(), 2);
@@ -560,25 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_lists_parse() {
-        assert_eq!(parse_thread_list("1,2,4").unwrap(), vec![1, 2, 4]);
-        assert_eq!(parse_thread_list(" 8 ").unwrap(), vec![8]);
-        assert_eq!(parse_thread_list("2,,3").unwrap(), vec![2, 3]);
-        assert!(parse_thread_list("0").is_err());
-        assert!(parse_thread_list("two").is_err());
-        assert!(parse_thread_list("").is_err());
-    }
-
-    #[test]
-    fn flag_helpers() {
-        let a = args(&["--x", "1", "--y"]);
-        assert_eq!(flag_value(&a, "--x").unwrap(), Some("1"));
-        assert_eq!(flag_value(&a, "--z").unwrap(), None);
-        assert!(has_flag(&a, "--y"));
-        assert!(!has_flag(&a, "--w"));
-    }
-
-    #[test]
     fn strict_flags_reject_unknown_repeated_and_missing_values() {
         let parse = |a: &[&str]| {
             strict_flags(&args(a), &[("--out", "a file")], &["--check"])
@@ -602,5 +553,7 @@ mod tests {
         assert_eq!(err(&["--out", "a", "--out", "b"]), "--out given twice");
         assert_eq!(err(&["--out"]), "--out requires a file");
         assert_eq!(err(&["--out", "--check"]), "--out requires a file");
+        let none = strict_flags(&args(&["--x"]), &[], &[]).err();
+        assert_eq!(none.as_deref(), Some("unexpected argument \"--x\""));
     }
 }
